@@ -5,11 +5,12 @@ infinitesimal part) is a *finite* Taylor sum
 
     f(r) + sum_{i=1..N} f_i(r)/i! * h**i,      N = floor(order(h)),
 
-exact because h**(N+1) vanishes.  Each catalog function carries a
-derivative tower giving f_i(r) in closed form (cycles for sin/cos,
-integer-polynomial recurrences for tan/atan, falling factorials for
-powers), so high-order coefficients never accumulate error from nested
-differentiation.
+exact because h**(N+1) vanishes; it is core's Taylor kernel, which
+``invert`` runs too.  Each catalog function carries a derivative tower
+giving f_i(r) in closed form (cycles for sin/cos, integer-polynomial
+recurrences for tan/atan, and one exact falling-factorial tower shared by
+sqrt, recip, pow_const and ln), so high-order coefficients never
+accumulate error from nested differentiation.
 
 Also here: the first-derivative extractor built on square-zero
 increments, the multivariate Taylor sum with exact pruning of vanishing
@@ -23,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 from .core import (
@@ -38,6 +39,7 @@ from .core import (
     mul,
     pow_nat,
     sub,
+    _taylor,
 )
 from .errors import (
     DomainError,
@@ -54,13 +56,6 @@ _DT1 = dt(1)
 
 def _exp_tower(r: float, i: int) -> float:
     return math.exp(r)
-
-
-def _ln_tower(r: float, i: int) -> float:
-    if i == 0:
-        return math.log(r)
-    # (-1)**(i-1) * (i-1)! / r**i, rounded once from exact rationals
-    return float(Fraction((-1) ** (i - 1) * math.factorial(i - 1)) / Fraction(r) ** i)
 
 
 _SIN_CYCLE = (
@@ -133,32 +128,31 @@ def _atan_tower(r: float, i: int) -> float:
     return float(Fraction(num) / (1 + rq * rq) ** i)
 
 
-def _falling_frac(c: Fraction, i: int) -> Fraction:
-    acc = Fraction(1)
+def _power_tower(c: Fraction, value, r: float, i: int) -> float:
+    """Derivative tower of r**c: ``(c)_i * r**(c-i)``, the falling factorial
+    ``(c)_i`` exact.  An integer |c| <= 1024 rounds the whole product once
+    (past that, powers of r run to megabits); otherwise ``(c)_i / r**i`` is
+    rounded once and scaled by ``value(r)``, the float r**c, which for sqrt
+    is math.sqrt, since ``r**0.5`` is not always ``sqrt(r)``.
+    """
+    p, q = c.numerator, c.denominator
+    exact = q == 1 and abs(p) <= 1024
+    if i == 0 and not exact:
+        return value(r)
+    falling = 1
     for k in range(i):
-        acc *= c - k
-    return acc
+        falling *= p - k * q
+    if exact:
+        return float(falling * Fraction(r) ** (p - i))
+    return float(falling / (q * Fraction(r)) ** i) * value(r)
 
 
-def _sqrt_tower(r: float, i: int) -> float:
-    if i == 0:
-        return math.sqrt(r)
-    coeff = _falling_frac(Fraction(1, 2), i)
-    return float(coeff / Fraction(r) ** i) * math.sqrt(r)
+_sqrt_tower = partial(_power_tower, Fraction(1, 2), math.sqrt)
+_recip_tower = partial(_power_tower, Fraction(-1), None)
 
 
-def _recip_tower(r: float, i: int) -> float:
-    return float(Fraction((-1) ** i * math.factorial(i)) / Fraction(r) ** (i + 1))
-
-
-def _make_pow_tower(c: float) -> Callable[[float, int], float]:
-    def tower(r: float, i: int) -> float:
-        coeff = 1.0
-        for k in range(i):
-            coeff *= c - k
-        return coeff * r ** (c - i)
-
-    return tower
+def _ln_tower(r: float, i: int) -> float:
+    return math.log(r) if i == 0 else _recip_tower(r, i - 1)
 
 
 def _any_real(r: float) -> bool:
@@ -209,18 +203,18 @@ CATALOG = {f.name: f for f in (EXP, LN, SIN, COS, TAN, ATAN, SQRT, RECIP)}
 
 def pow_const(c: float) -> ElementaryFn:
     """Power function with a fixed real exponent, on positive bases."""
-    return ElementaryFn(
-        f"pow[{c}]", _make_pow_tower(float(c)), _positive, "standard part > 0"
-    )
+    e = float(c)
+    tower = partial(_power_tower, Fraction(e), lambda r: r**e)
+    return ElementaryFn(f"pow[{c}]", tower, _positive, "standard part > 0")
 
 
 def ext_apply(f: ElementaryFn, x) -> FermatReal:
     """Extend f to a Fermat-real argument by exact Taylor truncation.
 
-    The sum stops at floor(order(h)) because the next power of the
-    infinitesimal part h is identically zero; on a plain real this is
-    just f itself.  Domain membership is checked on the standard part
-    only: infinitesimal perturbations never leave the domain.
+    Runs core's Taylor kernel, the one ``invert`` uses, with coefficients
+    f_i(r) / i! from the tower; the sum stops at floor(order(h)) and on a
+    plain real is just f itself.  Domain membership is checked on the
+    standard part only: infinitesimal perturbations never leave the domain.
     """
     x = as_fermat(x)
     if not f.domain(x.std):
@@ -228,21 +222,7 @@ def ext_apply(f: ElementaryFn, x) -> FermatReal:
             f"{f.name}: standard part {format(x.std, 'g')} outside domain "
             f"({f.domain_desc})"
         )
-    base = from_real(f.tower(x.std, 0))
-    if not x.terms:
-        return base
-    h = FermatReal(0.0, x.terms)
-    depth = math.floor(h.terms[0].order)
-    acc = base
-    hp = ONE
-    factorial = 1
-    for i in range(1, depth + 1):
-        hp = mul(hp, h)
-        if hp == ZERO:
-            break
-        factorial *= i
-        acc = add(acc, mul(from_real(f.tower(x.std, i) / factorial), hp))
-    return acc
+    return _taylor(x, lambda i: f.tower(x.std, i) / math.factorial(i))
 
 
 def derive(f: Callable[[FermatReal], FermatReal], at: float) -> float:
@@ -276,6 +256,20 @@ def derive(f: Callable[[FermatReal], FermatReal], at: float) -> float:
     return d.terms[0].coeff
 
 
+def _monomial(hs: Sequence[FermatReal], j: Sequence[int]) -> FermatReal | None:
+    """The product of ``hs[i] ** j[i]``, or None when a factor is zero or
+    the exact product-of-powers test says the product vanishes."""
+    used = [(h, ji) for h, ji in zip(hs, j) if ji > 0]
+    if any(h == ZERO for h, _ in used):
+        return None
+    if used and product_power_zero([order(h) for h, _ in used], [ji for _, ji in used]):
+        return None
+    mono = ONE
+    for h, ji in used:
+        mono = mul(mono, pow_nat(h, ji))
+    return mono
+
+
 def taylor_multi(
     partials: Callable[[tuple[int, ...], tuple[float, ...]], float],
     x: Sequence[float],
@@ -302,21 +296,12 @@ def taylor_multi(
     for j in itertools.product(range(n + 1), repeat=len(hs)):
         if sum(j) > n:
             continue
-        if any(ji > 0 and hs[i] == ZERO for i, ji in enumerate(j)):
-            continue
-        factors = [(order(hs[i]), ji) for i, ji in enumerate(j) if ji > 0]
-        if factors and product_power_zero(
-            [w for w, _ in factors], [i for _, i in factors]
-        ):
-            continue
-        denom = 1
-        for ji in j:
-            denom *= math.factorial(ji)
-        mono = ONE
-        for i, ji in enumerate(j):
-            if ji:
-                mono = mul(mono, pow_nat(hs[i], ji))
-        acc = add(acc, mul(from_real(partials(j, xs) / denom), mono))
+        mono = _monomial(hs, j)
+        if mono is not None:
+            denom = 1
+            for ji in j:
+                denom *= math.factorial(ji)
+            acc = add(acc, mul(from_real(partials(j, xs) / denom), mono))
     return acc
 
 
@@ -398,16 +383,7 @@ def eval_param_poly(p: ParamPoly, *point) -> FermatReal:
     vals = tuple(as_fermat(v) for v in point)
     acc = ZERO
     for q, coeff_fn in p.entries:
-        if any(qi > 0 and p.params[i] == ZERO for i, qi in enumerate(q)):
-            continue
-        factors = [(order(p.params[i]), qi) for i, qi in enumerate(q) if qi > 0]
-        if factors and product_power_zero(
-            [w for w, _ in factors], [i for _, i in factors]
-        ):
-            continue
-        mono = ONE
-        for i, qi in enumerate(q):
-            if qi:
-                mono = mul(mono, pow_nat(p.params[i], qi))
-        acc = add(acc, mul(as_fermat(coeff_fn(*vals)), mono))
+        mono = _monomial(p.params, q)
+        if mono is not None:
+            acc = add(acc, mul(as_fermat(coeff_fn(*vals)), mono))
     return acc

@@ -12,7 +12,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .core import FermatReal, format_real, iota
+from .core import FermatReal, _format_order, format_real, iota
 from .errors import FermatError, NonPositiveOrderError, ParseError
 from .expr import as_function, evaluate, free_variables, parse
 from .calculus import derive
@@ -28,17 +28,11 @@ from .plot import graph_samples, render_csv, render_svg
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-def _rational_str(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def _value_json(v: FermatReal) -> dict:
     return {
         "std": v.std,
         "terms": [
-            {"coeff": t.coeff, "order": _rational_str(t.order)} for t in v.terms
+            {"coeff": t.coeff, "order": _format_order(t.order)} for t in v.terms
         ],
     }
 
@@ -71,7 +65,7 @@ def _cmd_cmp(args) -> int:
 
 def _cmd_order(args) -> int:
     w = order(evaluate(parse(args.expr), _bindings(args)))
-    return _emit(args, _rational_str(w), {"order": _rational_str(w)})
+    return _emit(args, _format_order(w), {"order": _format_order(w)})
 
 
 def _cmd_nilpotent(args) -> int:
@@ -112,8 +106,8 @@ def _cmd_prodzero(args) -> int:
     w = product_power_order(orders, exps)
     return _emit(
         args,
-        f"nonzero, order {_rational_str(w)}",
-        {"zero": False, "order": _rational_str(w)},
+        f"nonzero, order {_format_order(w)}",
+        {"zero": False, "order": _format_order(w)},
     )
 
 
@@ -129,10 +123,6 @@ def _cmd_iota(args) -> int:
             return 2
     v = iota(evaluate(parse(args.expr), _bindings(args)), k)
     return _emit(args, str(v), _value_json(v))
-
-
-def _cmd_canon(args) -> int:
-    return _cmd_eval(args)
 
 
 def _cmd_plot(args) -> int:
@@ -173,15 +163,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = p.add_subparsers(dest="command", required=True)
 
-    s = subs.add_parser("eval", help="evaluate an expression to canonical form")
+    s = subs.add_parser(
+        "eval", aliases=["canon"], help="evaluate an expression to canonical form"
+    )
     s.add_argument("expr")
     _add_common(s)
     s.set_defaults(handler=_cmd_eval)
-
-    s = subs.add_parser("canon", help="canonicalize an expression (alias of eval)")
-    s.add_argument("expr")
-    _add_common(s)
-    s.set_defaults(handler=_cmd_canon)
 
     s = subs.add_parser("cmp", help="compare two expressions: LT, EQ or GT")
     s.add_argument("left")
@@ -238,7 +225,7 @@ def main(argv=None) -> int:
     except (ParseError, NonPositiveOrderError) as e:
         print(f"fermat: {e}", file=sys.stderr)
         return 2
-    except (FermatError, ValueError) as e:
+    except (FermatError, ValueError, OverflowError) as e:
         print(f"fermat: {e}", file=sys.stderr)
         return 3
     except OSError as e:

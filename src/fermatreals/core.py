@@ -11,7 +11,8 @@ zero.  This makes nilpotency decidable by exact rational comparisons.
 Exponent arithmetic never rounds.  Coefficients are floats compared exactly:
 a term exists iff its coefficient is not ``0.0``.  Coefficient merging uses
 ``math.fsum``, so the result of a sum depends only on the multiset of
-addends, never on their order.
+addends, never on their order.  One truncated Taylor kernel, ``_taylor``,
+serves :func:`invert` and every smooth extension in ``calculus``.
 
 Values are immutable; every operation is a pure function, so values can be
 shared freely across threads.
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Tuple, Union
+from typing import Callable, Iterable, Tuple, Union
 
 from .errors import NonPositiveOrderError, NotInvertibleError
 
@@ -302,28 +303,40 @@ def pow_nat(x, n: int) -> FermatReal:
     return acc
 
 
+def _taylor(x: FermatReal, a: Callable[[int], float]) -> FermatReal:
+    """Taylor sum ``sum(a(i) * h**i)`` at x = r + h, with a(i) the i-th
+    Taylor coefficient at r and i up to N = floor(order(h)): h**(N+1)
+    vanishes, so the sum is exact.  One canonicalize rounds each
+    coefficient's sum once."""
+    if not x.terms:
+        return from_real(a(0))
+    h = FermatReal(0.0, x.terms)
+    raw = []
+    hp = ONE
+    for i in range(1, math.floor(x.terms[0].order) + 1):
+        hp = mul(hp, h)
+        if not hp.terms:
+            break
+        c = a(i)
+        raw += [(c * t.coeff, t.exp) for t in hp.terms]
+    return canonicalize(a(0), raw)
+
+
 def invert(x) -> FermatReal:
     """Multiplicative inverse, defined iff the standard part is nonzero.
 
-    With h the infinitesimal part of x, the inverse is the alternating
-    geometric sum (1/std) * sum((-h/std)**j) truncated at j = floor of
-    the order of h, beyond which every power of h vanishes.
+    The Taylor kernel of every smooth extension, with the coefficients
+    (-1)**i / r**(i+1) of 1/(r + h) rounded once from exact rationals.  No
+    i! enters them, so they stay finite as long as the true coefficient
+    does; one past the float range raises OverflowError.
     """
     x = as_fermat(x)
     if x.std == 0.0:
         raise NotInvertibleError("not invertible: standard part is 0")
-    if not x.terms:
+    if not x.terms or not math.isfinite(x.std):  # inf, nan: no exact rational
         return from_real(1.0 / x.std)
-    u = FermatReal(0.0, tuple(Term(t.coeff / x.std, t.exp) for t in x.terms))
-    bound = math.floor(1 / u.terms[0].exp)
-    acc = ONE
-    p = ONE
-    for j in range(1, bound + 1):
-        p = mul(p, u)
-        if p == ZERO:
-            break
-        acc = add(acc, p if j % 2 == 0 else neg(p))
-    return mul(from_real(1.0 / x.std), acc)
+    r = Fraction(x.std)
+    return _taylor(x, lambda i: float((-1) ** i / r ** (i + 1)))
 
 
 def iota(x, k) -> FermatReal:

@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 
 from . import calculus
 from .calculus import CATALOG, ext_apply
-from .core import FermatReal, as_fermat, dt, from_real, invert, mul, neg, pow_nat
+from .core import FermatReal, as_fermat, dt, from_real, invert, mul, neg
 from .core import add as _add
 from .core import sub as _sub
 from .errors import NonPositiveOrderError, ParseError, UnboundVariableError
@@ -296,9 +296,7 @@ def _eval(e: Expr, env: Mapping[str, FermatReal]) -> FermatReal:
             n = _literal_int(e.right)
             if n is None:
                 return calculus.power(base, _eval(e.right, env))
-            if n >= 0:
-                return pow_nat(base, n)
-            return invert(pow_nat(base, -n))
+            return base ** n
         left = _eval(e.left, env)
         right = _eval(e.right, env)
         if e.op == "+":

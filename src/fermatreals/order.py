@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import FermatReal, as_fermat, leading_sign, neg, sub, _as_rational
+from .core import FermatReal, as_fermat, leading_sign, sub, _as_rational
 from .errors import LengthMismatchError, NoFiniteOrderError, ProductIsZeroError
 
 #: Orders are exact rationals; 0 encodes a standard real, and finite
@@ -163,5 +163,4 @@ def compare(x, y) -> Verdict:
 
 def absolute(x) -> FermatReal:
     """|x| under the total order."""
-    x = as_fermat(x)
-    return neg(x) if leading_sign(x) < 0 else x
+    return abs(as_fermat(x))

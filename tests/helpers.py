@@ -130,6 +130,47 @@ def assert_fermat_close(x: FermatReal, y: FermatReal, tol: float = 1e-12):
         )
 
 
+# -- exact-rational truncated-series oracle ----------------------------------
+
+def oracle_series(coeffs, x: FermatReal) -> dict[Fraction, tuple[Fraction, Fraction]]:
+    """``sum_k coeffs[k] * h**k`` at ``x = r + h``, in exact rationals.
+
+    ``coeffs`` holds the Fraction Taylor coefficients at the standard part
+    for k = 0..floor(order(h)).  Each exponent (0 for the standard part)
+    maps to ``(value, mag)``: the exact coefficient, and the sum of the
+    absolute values of every contribution to it, which scales the rounding
+    a float evaluation is allowed.
+    """
+    h = {t.exp: (F(t.coeff), abs(F(t.coeff))) for t in x.terms}
+    out = {F(0): (F(coeffs[0]), abs(F(coeffs[0])))}
+    power = {F(0): (F(1), F(1))}
+    for a in coeffs[1:]:
+        nxt: dict[Fraction, tuple[Fraction, Fraction]] = {}
+        for e1, (c1, m1) in power.items():
+            for e2, (c2, m2) in h.items():
+                if e1 + e2 <= 1:
+                    c, m = nxt.get(e1 + e2, (F(0), F(0)))
+                    nxt[e1 + e2] = (c + c1 * c2, m + m1 * m2)
+        power = nxt
+        for e, (c, m) in power.items():
+            v, w = out.get(e, (F(0), F(0)))
+            out[e] = (v + a * c, w + abs(a) * m)
+    return out
+
+
+def series_error(got: FermatReal, ref: dict) -> float:
+    """Largest error of ``got`` against an :func:`oracle_series` result,
+    each exponent's error divided by its sum of absolute contributions."""
+    have = to_dict(got)
+    worst = 0.0
+    for e in set(have) | set(ref):
+        value, mag = ref.get(e, (F(0), F(0)))
+        err = abs(F(have.get(e, 0.0)) - value)
+        if err:
+            worst = max(worst, float(err / mag) if mag else math.inf)
+    return worst
+
+
 def fd_central(f, x: float, step: float = 1e-5) -> float:
     return (f(x + step) - f(x - step)) / (2 * step)
 

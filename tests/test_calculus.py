@@ -88,12 +88,18 @@ def test_atan_tower_known_values():
 def test_sqrt_and_pow_towers_match_falling_factorials():
     rng = random.Random(2)
     p = pow_const(0.5)
+    recip, square = pow_const(-1.0), pow_const(2.0)
     for _ in range(20):
         r = rng.uniform(0.2, 4.0)
         for i in range(1, 6):
             a = CATALOG["sqrt"].tower(r, i)
             b = p.tower(r, i)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+        for i in range(65):
+            assert recip.tower(r, i) == CATALOG["recip"].tower(r, i)
+        exact = [F(r) ** 2, 2 * F(r), F(2)] + [F(0)] * 62
+        for i in range(65):
+            assert square.tower(r, i) == float(exact[i])
 
 
 # -- ext_apply ---------------------------------------------------------------
@@ -105,6 +111,21 @@ def test_ext_apply_examples():
     assert ext_apply(CATALOG["cos"], h) == ONE
     assert ext_apply(CATALOG["sin"], h) == h
     assert ext_apply(CATALOG["recip"], add(1, dt(2))) == invert(add(1, dt(2)))
+
+
+def test_invert_and_recip_match_exact_series():
+    # Each exponent's error is normalized by its sum of absolute
+    # contributions, so cancellation does not inflate it.
+    rng = random.Random(11)
+    for _ in range(500):
+        x = helpers.rand_invertible(rng)
+        r = F(x.std)
+        depth = math.floor(x.terms[0].order) if x.terms else 0
+        ref = helpers.oracle_series(
+            [F(-1) ** k / r ** (k + 1) for k in range(depth + 1)], x
+        )
+        assert helpers.series_error(invert(x), ref) <= 1e-15, x
+        assert helpers.series_error(ext_apply(CATALOG["recip"], x), ref) <= 1e-15, x
 
 
 def test_ext_apply_on_reals_is_plain_evaluation():

@@ -173,6 +173,16 @@ def test_invert_examples():
         invert(dt(3))
 
 
+def test_invert_deep_truncation_is_the_exact_alternating_series():
+    # 200! overflows a float, so no coefficient may pass through i!.
+    want = canonicalize(1, [((-1) ** k, F(k, 200)) for k in range(1, 201)])
+    assert invert(add(1, dt(200))) == want
+
+
+def test_invert_infinite_standard_part_is_zero():
+    assert invert(canonicalize(math.inf, [(1.0, F(1, 2))])) == ZERO
+
+
 def test_invert_round_trip():
     rng = random.Random(5)
     for _ in range(10_000):
