@@ -225,7 +225,7 @@ def main(argv=None) -> int:
     except (ParseError, NonPositiveOrderError) as e:
         print(f"fermat: {e}", file=sys.stderr)
         return 2
-    except (FermatError, ValueError, OverflowError) as e:
+    except (FermatError, ValueError) as e:
         print(f"fermat: {e}", file=sys.stderr)
         return 3
     except OSError as e:

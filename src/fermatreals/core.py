@@ -325,18 +325,17 @@ def _taylor(x: FermatReal, a: Callable[[int], float]) -> FermatReal:
 def invert(x) -> FermatReal:
     """Multiplicative inverse, defined iff the standard part is nonzero.
 
-    The Taylor kernel of every smooth extension, with the coefficients
-    (-1)**i / r**(i+1) of 1/(r + h) rounded once from exact rationals.  No
-    i! enters them, so they stay finite as long as the true coefficient
-    does; one past the float range raises OverflowError.
+    The Taylor kernel of every smooth extension, run on u = 1 + h/std with
+    the coefficients (-1)**i / std of 1/(std * u).  Dividing h by std first
+    keeps every rounded intermediate near the size of the true coefficient,
+    whatever the magnitude of std; powers of std alone never appear.
     """
     x = as_fermat(x)
     if x.std == 0.0:
         raise NotInvertibleError("not invertible: standard part is 0")
-    if not x.terms or not math.isfinite(x.std):  # inf, nan: no exact rational
-        return from_real(1.0 / x.std)
-    r = Fraction(x.std)
-    return _taylor(x, lambda i: float((-1) ** i / r ** (i + 1)))
+    u = canonicalize(1.0, [(t.coeff / x.std, t.exp) for t in x.terms])
+    s = 1.0 / x.std
+    return _taylor(u, lambda i: -s if i % 2 else s)
 
 
 def iota(x, k) -> FermatReal:

@@ -113,19 +113,37 @@ def test_ext_apply_examples():
     assert ext_apply(CATALOG["recip"], add(1, dt(2))) == invert(add(1, dt(2)))
 
 
+def _recip_series(x):
+    r = F(x.std)
+    depth = math.floor(x.terms[0].order) if x.terms else 0
+    return helpers.oracle_series(
+        [F(-1) ** k / r ** (k + 1) for k in range(depth + 1)], x
+    )
+
+
 def test_invert_and_recip_match_exact_series():
     # Each exponent's error is normalized by its sum of absolute
     # contributions, so cancellation does not inflate it.
     rng = random.Random(11)
     for _ in range(500):
         x = helpers.rand_invertible(rng)
-        r = F(x.std)
-        depth = math.floor(x.terms[0].order) if x.terms else 0
-        ref = helpers.oracle_series(
-            [F(-1) ** k / r ** (k + 1) for k in range(depth + 1)], x
-        )
+        ref = _recip_series(x)
         assert helpers.series_error(invert(x), ref) <= 1e-15, x
         assert helpers.series_error(ext_apply(CATALOG["recip"], x), ref) <= 1e-15, x
+
+
+def test_invert_is_scale_invariant():
+    # Every true coefficient is an ordinary float here, though powers of the
+    # standard part alone (1e-160**2, 1e200**-3) over- or underflow.
+    for x in (mul(1e-160, add(1, dt(1))), mul(1e200, add(1, dt(2)))):
+        got, ref = invert(x), _recip_series(x)
+        assert [t.exp for t in got.terms] == sorted(e for e in ref if e), got
+        assert all(math.isfinite(t.coeff) for t in got.terms), got
+        assert helpers.series_error(got, ref) <= 1e-15, got
+    rng = random.Random(12)
+    for _ in range(500):
+        x = mul(10.0 ** rng.randint(-250, 250), helpers.rand_invertible(rng))
+        assert helpers.series_error(invert(x), _recip_series(x)) <= 1e-15, x
 
 
 def test_ext_apply_on_reals_is_plain_evaluation():

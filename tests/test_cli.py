@@ -37,11 +37,6 @@ def test_eval_not_invertible_exit_3(capsys):
     assert "not invertible: standard part is 0" in err
 
 
-def test_eval_coefficient_overflow_exit_3(capsys):
-    code, out, err = run(capsys, "eval", "(1e-300+dt[3])^-1")
-    assert code == 3 and out == "" and err.startswith("fermat: ")
-
-
 def test_eval_json_schema(capsys):
     code, out, _ = run(capsys, "eval", "3 - 2*dt[3/2]", "--json")
     assert code == 0
