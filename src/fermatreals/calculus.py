@@ -39,6 +39,7 @@ from .core import (
     mul,
     pow_nat,
     sub,
+    _natural,
     _taylor,
 )
 from .errors import (
@@ -283,8 +284,7 @@ def taylor_multi(
     the real point x.  Monomials h**j that vanish are pruned by the
     product-of-powers test before the oracle is consulted.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"degree must be a natural number, got {n!r}")
+    _natural(n, "degree")
     hs = [as_fermat(v) for v in h]
     for v in hs:
         if not in_ideal(v, n):
@@ -343,10 +343,8 @@ class ParamPoly:
 
     def __init__(self, params: Sequence, entries: Sequence, level: int):
         self.params = tuple(as_fermat(p) for p in params)
-        self.level = int(level)
-        self.entries = tuple((tuple(int(qi) for qi in q), fn) for q, fn in entries)
-        if self.level < 0:
-            raise ValueError(f"level must be >= 0, got {level!r}")
+        self.level = _natural(level, "level")
+        self.entries = tuple((tuple(q), fn) for q, fn in entries)
         for p in self.params:
             if p.std != 0.0:
                 raise ValueError(f"parameter {p} is not infinitesimal")
@@ -359,8 +357,8 @@ class ParamPoly:
                 raise ValueError(
                     f"multi-index {q} does not match {len(self.params)} parameters"
                 )
-            if any(qi < 0 for qi in q):
-                raise ValueError(f"multi-index {q} has negative entries")
+            for qi in q:
+                _natural(qi, f"multi-index {q} entry")
             if sum(q) > self.level:
                 raise ValueError(
                     f"multi-index {q} exceeds total degree {self.level}"

@@ -28,6 +28,10 @@ from .plot import graph_samples, render_csv, render_svg
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
+class _UsageError(FermatError):
+    """A malformed command-line option value: exit code 2, like a parse error."""
+
+
 def _value_json(v: FermatReal) -> dict:
     return {
         "std": v.std,
@@ -119,19 +123,16 @@ def _cmd_iota(args) -> int:
         try:
             k = Fraction(text)
         except (ValueError, ZeroDivisionError):
-            print(f"fermat: bad --k value {args.k!r}", file=sys.stderr)
-            return 2
+            raise _UsageError(f"bad --k value {args.k!r}") from None
     v = iota(evaluate(parse(args.expr), _bindings(args)), k)
     return _emit(args, str(v), _value_json(v))
 
 
 def _cmd_plot(args) -> int:
     if not args.delta > 0:
-        print("fermat: --delta must be > 0", file=sys.stderr)
-        return 2
+        raise _UsageError("--delta must be > 0")
     if args.samples < 2:
-        print("fermat: --samples must be >= 2", file=sys.stderr)
-        return 2
+        raise _UsageError("--samples must be >= 2")
     v = evaluate(parse(args.expr), _bindings(args))
     sample = graph_samples(v, args.delta, args.samples)
     if args.format == "csv":
@@ -222,7 +223,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, NonPositiveOrderError) as e:
+    except (ParseError, NonPositiveOrderError, _UsageError) as e:
         print(f"fermat: {e}", file=sys.stderr)
         return 2
     except (FermatError, ValueError) as e:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, Iterable, Tuple, Union
 
 from .errors import NonPositiveOrderError, NotInvertibleError
@@ -69,6 +70,17 @@ class Term:
         return 1 / self.exp
 
 
+def _operator(fn):
+    """A binary operator method: coerce the other operand with
+    ``_try_fermat`` and apply ``fn``, or return NotImplemented."""
+
+    def method(self, other):
+        o = _try_fermat(other)
+        return NotImplemented if o is None else fn(self, o)
+
+    return method
+
+
 @dataclass(frozen=True, eq=False)
 class FermatReal:
     """A real number plus finitely many nilpotent infinitesimal terms.
@@ -109,67 +121,29 @@ class FermatReal:
     def __repr__(self) -> str:
         return f"<FermatReal {self}>"
 
-    # -- equality and total order -------------------------------------
+    # -- equality, total order and ring operators -----------------------
+    # Each lambda looks up add, sub, mul, invert or _cmp when called, so
+    # rebinding those module names (as a tracer does) reaches them too.
 
-    def __eq__(self, other) -> bool:
-        o = _try_fermat(other)
-        if o is None:
-            return NotImplemented
-        return self.std == o.std and self.terms == o.terms
+    __eq__ = _operator(lambda x, y: x.std == y.std and x.terms == y.terms)
+    __lt__ = _operator(lambda x, y: _cmp(x, y) < 0)
+    __le__ = _operator(lambda x, y: _cmp(x, y) <= 0)
+    __gt__ = _operator(lambda x, y: _cmp(x, y) > 0)
+    __ge__ = _operator(lambda x, y: _cmp(x, y) >= 0)
+    __add__ = __radd__ = _operator(lambda x, y: add(x, y))
+    __sub__ = _operator(lambda x, y: sub(x, y))
+    __rsub__ = _operator(lambda x, y: sub(y, x))
+    __mul__ = __rmul__ = _operator(lambda x, y: mul(x, y))
+    __truediv__ = _operator(lambda x, y: mul(x, invert(y)))
+    __rtruediv__ = _operator(lambda x, y: mul(y, invert(x)))
 
     def __hash__(self):
         if not self.terms:
             return hash(self.std)
         return hash((self.std, self.terms))
 
-    def __lt__(self, other):
-        o = _try_fermat(other)
-        return NotImplemented if o is None else leading_sign(sub(self, o)) < 0
-
-    def __le__(self, other):
-        o = _try_fermat(other)
-        return NotImplemented if o is None else leading_sign(sub(self, o)) <= 0
-
-    def __gt__(self, other):
-        o = _try_fermat(other)
-        return NotImplemented if o is None else leading_sign(sub(self, o)) > 0
-
-    def __ge__(self, other):
-        o = _try_fermat(other)
-        return NotImplemented if o is None else leading_sign(sub(self, o)) >= 0
-
     def __bool__(self) -> bool:
         return self.std != 0.0 or bool(self.terms)
-
-    # -- ring operators ------------------------------------------------
-
-    def __add__(self, other):
-        o = _try_fermat(other)
-        return NotImplemented if o is None else add(self, o)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _try_fermat(other)
-        return NotImplemented if o is None else sub(self, o)
-
-    def __rsub__(self, other):
-        o = _try_fermat(other)
-        return NotImplemented if o is None else sub(o, self)
-
-    def __mul__(self, other):
-        o = _try_fermat(other)
-        return NotImplemented if o is None else mul(self, o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _try_fermat(other)
-        return NotImplemented if o is None else mul(self, invert(o))
-
-    def __rtruediv__(self, other):
-        o = _try_fermat(other)
-        return NotImplemented if o is None else mul(o, invert(self))
 
     def __neg__(self):
         return neg(self)
@@ -291,10 +265,18 @@ def mul(x, y) -> FermatReal:
     return canonicalize(x.std * y.std, raw)
 
 
+def _natural(n, what: str, least: int = 0) -> int:
+    """Check an int (not a bool) of at least ``least``, for counts such as
+    powers, degrees and levels; ``what`` names it in the error."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < least:
+        floor = "" if least == 0 else f" >= {least}"
+        raise ValueError(f"{what} must be a natural number{floor}, got {n!r}")
+    return n
+
+
 def pow_nat(x, n: int) -> FermatReal:
     """Repeated multiplication; n = 0 gives 1."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"exponent must be a natural number, got {n!r}")
+    _natural(n, "exponent")
     acc = ONE
     for _ in range(n):
         acc = mul(acc, x)
@@ -338,17 +320,23 @@ def invert(x) -> FermatReal:
     return _taylor(u, lambda i: -s if i % 2 else s)
 
 
+def _as_level(a, what: str):
+    """Truncation and ideal levels: nonnegative rationals, or math.inf."""
+    if isinstance(a, float) and math.isinf(a) and a > 0:
+        return math.inf
+    q = _as_rational(a, what)
+    if q < 0:
+        raise ValueError(f"{what} must be >= 0, got {q}")
+    return q
+
+
 def iota(x, k) -> FermatReal:
     """Truncation at level k: keep the standard part and the terms of
     order strictly greater than k.  ``iota(x, 0) == x``; k = math.inf
     strips every infinitesimal."""
     x = as_fermat(x)
-    if isinstance(k, float) and math.isinf(k) and k > 0:
-        return FermatReal(x.std, ())
-    kq = _as_rational(k, "truncation level")
-    if kq < 0:
-        raise ValueError(f"truncation level must be >= 0, got {kq}")
-    return FermatReal(x.std, tuple(t for t in x.terms if t.order > kq))
+    level = _as_level(k, "truncation level")
+    return FermatReal(x.std, tuple(t for t in x.terms if t.order > level))
 
 
 def eq(x, y) -> bool:
@@ -366,17 +354,32 @@ def standard_part(x) -> float:
     return as_fermat(x).std
 
 
-def leading_sign(x) -> int:
-    """Sign of x in the total order.
+_END = Term(0.0, Fraction(2))  # after every term: exponents are at most 1
 
-    A nonzero standard part decides; otherwise the coefficient of the
-    highest-order (smallest-exponent) infinitesimal term does; zero has
-    sign 0.  Term-by-term comparison of representatives near t = 0
-    reduces to exactly this rule on canonical forms.
+
+def _cmp(x: FermatReal, y: FermatReal) -> int:
+    """Sign of x - y in the total order, without forming x - y.
+
+    The standard parts decide, then the highest-order term where x and y
+    differ: comparing representatives near t = 0 reduces to this rule on
+    canonical forms.  Terms are sorted, so it is the first position where
+    the tuples differ; a side with no term at the smaller exponent there
+    (``_END`` pads the shorter) counts 0.  Nothing is added or subtracted,
+    so nothing can overflow.
     """
-    x = as_fermat(x)
-    if x.std != 0.0:
-        return 1 if x.std > 0 else -1
-    if x.terms:
-        return 1 if x.terms[0].coeff > 0 else -1
-    return 0
+    a, b = x.std, y.std
+    if a == b:
+        for tx, ty in zip_longest(x.terms, y.terms, fillvalue=_END):
+            if tx.exp != ty.exp or tx.coeff != ty.coeff:
+                a = tx.coeff if tx.exp <= ty.exp else 0.0
+                b = ty.coeff if ty.exp <= tx.exp else 0.0
+                break
+        else:
+            return 0
+    return 1 if a > b else -1
+
+
+def leading_sign(x) -> int:
+    """Sign of x in the total order: 1 or -1, and 0 for zero.  A nonzero
+    standard part decides, otherwise the highest-order term's coefficient."""
+    return _cmp(as_fermat(x), ZERO)

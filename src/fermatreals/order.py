@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import FermatReal, as_fermat, leading_sign, sub, _as_rational
+from .core import FermatReal, as_fermat, _as_level, _as_rational, _cmp, _natural
 from .errors import LengthMismatchError, NoFiniteOrderError, ProductIsZeroError
 
 #: Orders are exact rationals; 0 encodes a standard real, and finite
@@ -27,16 +27,6 @@ class Verdict(Enum):
     LT = "LT"
     EQ = "EQ"
     GT = "GT"
-
-
-def _as_level(a, what: str):
-    """Ideal subscripts: nonnegative rationals, or math.inf."""
-    if isinstance(a, float) and math.isinf(a) and a > 0:
-        return math.inf
-    q = _as_rational(a, what)
-    if q < 0:
-        raise ValueError(f"{what} must be >= 0, got {q}")
-    return q
 
 
 def order(x) -> Fraction:
@@ -53,10 +43,7 @@ def in_ideal(x, a) -> bool:
     x = as_fermat(x)
     if x.std != 0.0:
         return False
-    level = _as_level(a, "ideal level")
-    if level is math.inf:
-        return True
-    return order(x) < level + 1
+    return order(x) < _as_level(a, "ideal level") + 1
 
 
 def nilpotency_index(x) -> int | None:
@@ -85,9 +72,7 @@ def _reciprocal_order_sum(orders: Sequence, exps: Sequence[int]) -> Fraction:
         wq = _as_rational(w, "factor order")
         if wq < 1:
             raise ValueError(f"factor orders must be >= 1, got {wq}")
-        if not isinstance(i, int) or isinstance(i, bool) or i < 1:
-            raise ValueError(f"power exponents must be naturals >= 1, got {i!r}")
-        total += Fraction(i) / wq
+        total += Fraction(_natural(i, "power exponent", least=1)) / wq
     return total
 
 
@@ -138,8 +123,7 @@ def cancellation_order(j: Sequence[int], alpha: Sequence) -> Fraction:
         raise ValueError("power vector must not be all zeros")
     total = Fraction(0)
     for ji, ai in zip(j, alpha):
-        if not isinstance(ji, int) or isinstance(ji, bool) or ji < 0:
-            raise ValueError(f"powers must be naturals, got {ji!r}")
+        _natural(ji, "power")
         aq = _as_rational(ai, "nilpotency level")
         if aq <= 0:
             raise ValueError(f"nilpotency levels must be > 0, got {aq}")
@@ -152,13 +136,10 @@ def cancellation_order(j: Sequence[int], alpha: Sequence) -> Fraction:
 
 
 def compare(x, y) -> Verdict:
-    """Total-order comparison via the sign of the canonical difference."""
-    s = leading_sign(sub(as_fermat(x), as_fermat(y)))
-    if s < 0:
-        return Verdict.LT
-    if s > 0:
-        return Verdict.GT
-    return Verdict.EQ
+    """Total-order comparison: the standard parts decide, and if they are
+    equal, the highest-order term where x and y differ does.  Works on the
+    two decompositions directly; x - y is never formed."""
+    return (Verdict.LT, Verdict.EQ, Verdict.GT)[_cmp(as_fermat(x), as_fermat(y)) + 1]
 
 
 def absolute(x) -> FermatReal:

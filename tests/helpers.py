@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from fermatreals import (
     FermatReal,
+    Term,
     ZERO,
     add,
     canonicalize,
@@ -60,6 +61,51 @@ def rand_invertible(rng: random.Random) -> FermatReal:
     std = rng.uniform(1.0, 3.0) * rng.choice((-1, 1))
     exps = rng.sample(_LOW_ORDER_POOL, rng.randint(0, 3))
     return canonicalize(std, [(rand_coeff(rng, 0.1, 1.0), e) for e in exps])
+
+
+# Standard parts and coefficients for order tests: benign, infinite (std
+# only), near the top of binary64, and subnormal.
+def _order_coeff(rng: random.Random, allow_inf: bool = False) -> float:
+    kind = rng.randrange(4 if allow_inf else 3)
+    if kind == 0:
+        mag = rng.uniform(0.25, 3.0)
+    elif kind == 1:
+        mag = rng.uniform(1e307, 1.7976931348623157e308)
+    elif kind == 2:
+        mag = 5e-324 * rng.randint(1, 3)
+    else:
+        mag = math.inf
+    return mag if rng.random() < 0.5 else -mag
+
+
+def rand_order_pair(rng: random.Random) -> tuple[FermatReal, FermatReal]:
+    """Two canonical values for total-order tests.  A third of the pairs
+    share the standard part and differ in one term (changed, dropped or
+    added), a sixth are equal, the rest are independent."""
+
+    def draw():
+        std = 0.0 if rng.random() < 0.3 else _order_coeff(rng, allow_inf=True)
+        picks = rng.sample(range(len(EXP_POOL)), rng.randint(0, 4))
+        return std, {i: _order_coeff(rng) for i in picks}
+
+    def build(std, terms):
+        # EXP_POOL is sorted, so sorted indices give canonical term order.
+        return FermatReal(std, tuple(Term(terms[i], EXP_POOL[i]) for i in sorted(terms)))
+
+    std, tx = draw()
+    r = rng.random()
+    if r < 1 / 3:
+        sy, ty = std, dict(tx)
+        i = rng.randrange(len(EXP_POOL))
+        if i in ty and rng.random() < 0.5:
+            del ty[i]
+        else:
+            ty[i] = _order_coeff(rng)
+    elif r < 1 / 2:
+        sy, ty = std, dict(tx)
+    else:
+        sy, ty = draw()
+    return build(std, tx), build(sy, ty)
 
 
 # -- dict-based term-multiset oracle --------------------------------------
@@ -116,6 +162,17 @@ def dicts_equal(a: dict, b: dict) -> bool:
     if ka != kb:
         return False
     return all(a.get(e, 0.0) == b.get(e, 0.0) for e in ka)
+
+
+def oracle_compare(x: FermatReal, y: FermatReal) -> int:
+    """Sign of x - y in the total order, as a lexicographic comparison of
+    the coefficient dicts over exponents (0, the standard part, first)."""
+    dx, dy = to_dict(x), to_dict(y)
+    for e in sorted(set(dx) | set(dy)):
+        a, b = dx.get(e, 0.0), dy.get(e, 0.0)
+        if a != b:
+            return 1 if a > b else -1
+    return 0
 
 
 def assert_fermat_close(x: FermatReal, y: FermatReal, tol: float = 1e-12):

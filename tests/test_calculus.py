@@ -263,6 +263,8 @@ def test_taylor_multi_mixed_orders():
 def test_taylor_multi_rejects_displacements_outside_level():
     with pytest.raises(NotInIdealError):
         taylor_multi(_product_partials, (0.0, 0.0), (dt(4), dt(2)), 2)
+    with pytest.raises(ValueError):
+        taylor_multi(_product_partials, (0.0,), (dt(2),), True)
 
 
 def test_second_difference_identity():
@@ -419,6 +421,10 @@ def test_param_poly_validation():
         ParamPoly(params=[dt(4)], entries=[], level=2)  # order 4 not at level 2
     with pytest.raises(ValueError):
         ParamPoly(params=[dt(1)], entries=[((2,), lambda: 0)], level=1)
+    with pytest.raises(ValueError):
+        ParamPoly(params=[dt(2)], entries=[], level=2.9)
+    with pytest.raises(ValueError):
+        ParamPoly(params=[dt(2)], entries=[((1.5,), lambda: 0)], level=2)
 
 
 # -- regressions from worked identities -------------------------------------------

@@ -55,6 +55,8 @@ def test_cmp(capsys):
     assert run(capsys, "cmp", "x", "x", "-b", "x=1+dt[2]")[:2] == (0, "EQ\n")
     code, out, _ = run(capsys, "cmp", "1+dt[2]", "3+dt[1]", "--json")
     assert code == 0 and json.loads(out) == {"verdict": "LT"}
+    # x - y would overflow: the comparison must not form it
+    assert run(capsys, "cmp", "1e308*dt[1]", "0-1e308*dt[1]")[:2] == (0, "GT\n")
 
 
 def test_order(capsys):
@@ -97,7 +99,7 @@ def test_iota(capsys):
     code, out, _ = run(capsys, "iota", "3 + dt[3]", "--k", "inf")
     assert code == 0 and out == "3\n"
     code, _, err = run(capsys, "iota", "dt[2]", "--k", "abc")
-    assert code == 2 and "bad --k" in err
+    assert code == 2 and err == "fermat: bad --k value 'abc'\n"
 
 
 def test_prodzero_bad_order_is_an_evaluation_error(capsys):
@@ -125,6 +127,10 @@ def test_plot_bad_delta(tmp_path, capsys):
         capsys, "plot", "dt[2]", "--delta", "-1", "--out", str(tmp_path / "x.svg")
     )
     assert code == 2 and "--delta" in err
+    code, _, err = run(
+        capsys, "plot", "dt[2]", "--samples", "1", "--out", str(tmp_path / "x.svg")
+    )
+    assert code == 2 and err == "fermat: --samples must be >= 2\n"
 
 
 def test_plot_io_error(tmp_path, capsys):

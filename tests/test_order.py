@@ -17,6 +17,7 @@ from fermatreals import (
     from_real,
     ideal_of_product,
     in_ideal,
+    leading_sign,
     mul,
     neg,
     nilpotency_index,
@@ -143,6 +144,22 @@ def test_total_order_properties():
         w = absolute(helpers.rand_fermat(rng))
         if compare(x, y) is not Verdict.GT:
             assert compare(mul(x, w), mul(y, w)) is not Verdict.GT
+
+
+def test_total_order_matches_oracle():
+    # Extremes included: the parent's sign-of-difference comparison said
+    # inf < inf and overflowed on huge opposite coefficients.
+    inf = from_real(math.inf)
+    assert compare(inf, inf) is Verdict.EQ and not inf < inf
+    big = mul(1e308, dt(1))
+    assert compare(big, neg(big)) is Verdict.GT
+    rng = random.Random(404)
+    for _ in range(20000):
+        x, y = helpers.rand_order_pair(rng)
+        s = helpers.oracle_compare(x, y)
+        assert compare(x, y) is (Verdict.LT, Verdict.EQ, Verdict.GT)[s + 1], (x, y)
+        assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0), (x, y)
+        assert leading_sign(x) == helpers.oracle_compare(x, ZERO), x
 
 
 def test_infinitesimal_sandwich():
