@@ -13,9 +13,9 @@ sqrt, recip, pow_const and ln), so high-order coefficients never
 accumulate error from nested differentiation.
 
 Also here: the first-derivative extractor built on square-zero
-increments, the multivariate Taylor sum with exact pruning of vanishing
-monomials, powers and logarithms with positive invertible bases, and
-infinitesimal polynomials with smooth coefficients.
+increments, powers and logarithms with positive invertible bases, and
+infinitesimal polynomials with smooth coefficients and exact pruning of
+vanishing monomials, which also evaluate the multivariate Taylor sum.
 """
 
 from __future__ import annotations
@@ -257,20 +257,6 @@ def derive(f: Callable[[FermatReal], FermatReal], at: float) -> float:
     return d.terms[0].coeff
 
 
-def _monomial(hs: Sequence[FermatReal], j: Sequence[int]) -> FermatReal | None:
-    """The product of ``hs[i] ** j[i]``, or None when a factor is zero or
-    the exact product-of-powers test says the product vanishes."""
-    used = [(h, ji) for h, ji in zip(hs, j) if ji > 0]
-    if any(h == ZERO for h, _ in used):
-        return None
-    if used and product_power_zero([order(h) for h, _ in used], [ji for _, ji in used]):
-        return None
-    mono = ONE
-    for h, ji in used:
-        mono = mul(mono, pow_nat(h, ji))
-    return mono
-
-
 def taylor_multi(
     partials: Callable[[tuple[int, ...], tuple[float, ...]], float],
     x: Sequence[float],
@@ -281,28 +267,18 @@ def taylor_multi(
     every displacement is nilpotent at level n.
 
     ``partials(j, x)`` must return the mixed partial of multi-index j at
-    the real point x.  Monomials h**j that vanish are pruned by the
-    product-of-powers test before the oracle is consulted.
+    the real point x.  The sum is evaluated as the infinitesimal polynomial
+    in h with coefficients d^j f(x) / j! by :func:`eval_param_poly`, which
+    prunes the monomials h**j that vanish before consulting the oracle.
     """
     _natural(n, "degree")
-    hs = [as_fermat(v) for v in h]
-    for v in hs:
-        if not in_ideal(v, n):
-            raise NotInIdealError(
-                f"displacement {v} is not nilpotent at level {n}"
-            )
     xs = tuple(float(v) for v in x)
-    acc = ZERO
-    for j in itertools.product(range(n + 1), repeat=len(hs)):
-        if sum(j) > n:
-            continue
-        mono = _monomial(hs, j)
-        if mono is not None:
-            denom = 1
-            for ji in j:
-                denom *= math.factorial(ji)
-            acc = add(acc, mul(from_real(partials(j, xs) / denom), mono))
-    return acc
+    entries = [
+        (j, lambda j=j: partials(j, xs) / math.prod(map(math.factorial, j)))
+        for j in itertools.product(range(n + 1), repeat=len(h))
+        if sum(j) <= n
+    ]
+    return eval_param_poly(ParamPoly(h, entries, n))
 
 
 def power(x, y) -> FermatReal:
@@ -338,7 +314,8 @@ class ParamPoly:
     ``entries`` pairs a multi-index over the parameters with a
     coefficient callable; the callable receives the evaluation point
     (one positional argument per variable) and may return a float or a
-    FermatReal.
+    FermatReal.  A parameter not nilpotent at the level raises
+    NotInIdealError.
     """
 
     def __init__(self, params: Sequence, entries: Sequence, level: int):
@@ -346,10 +323,8 @@ class ParamPoly:
         self.level = _natural(level, "level")
         self.entries = tuple((tuple(q), fn) for q, fn in entries)
         for p in self.params:
-            if p.std != 0.0:
-                raise ValueError(f"parameter {p} is not infinitesimal")
             if not in_ideal(p, self.level):
-                raise ValueError(
+                raise NotInIdealError(
                     f"parameter {p} is not nilpotent at level {self.level}"
                 )
         for q, _ in self.entries:
@@ -381,7 +356,13 @@ def eval_param_poly(p: ParamPoly, *point) -> FermatReal:
     vals = tuple(as_fermat(v) for v in point)
     acc = ZERO
     for q, coeff_fn in p.entries:
-        mono = _monomial(p.params, q)
-        if mono is not None:
-            acc = add(acc, mul(as_fermat(coeff_fn(*vals)), mono))
+        used = [(h, qi) for h, qi in zip(p.params, q) if qi > 0]
+        if any(h == ZERO for h, _ in used) or (used and product_power_zero(
+            [order(h) for h, _ in used], [qi for _, qi in used]
+        )):
+            continue
+        mono = ONE
+        for h, qi in used:
+            mono = mul(mono, pow_nat(h, qi))
+        acc = add(acc, mul(as_fermat(coeff_fn(*vals)), mono))
     return acc

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Callable, Iterable, Tuple, Union
 
-from .errors import NonPositiveOrderError, NotInvertibleError
+from .errors import NonFiniteError, NonPositiveOrderError, NotInvertibleError
 
 Exponent = Fraction
 RationalLike = Union[int, Fraction, str]
@@ -197,7 +197,8 @@ def canonicalize(std: float, raw: Iterable[tuple]) -> FermatReal:
     Terms with exponent above 1 vanish, exponent-0 terms fold into the
     standard part, equal exponents merge by summing coefficients, zero
     coefficients disappear, and the survivors come out sorted by
-    increasing exponent.  Exponents must be nonnegative rationals.
+    increasing exponent.  Exponents must be nonnegative rationals; a sum
+    with no finite binary64 value raises NonFiniteError.
     """
     base = [float(std)]
     buckets: dict[Fraction, list[float]] = {}
@@ -211,11 +212,17 @@ def canonicalize(std: float, raw: Iterable[tuple]) -> FermatReal:
         elif e <= 1:
             buckets.setdefault(e, []).append(c)
     terms = []
-    for e in sorted(buckets):
-        c = math.fsum(buckets[e])
-        if c != 0.0:
-            terms.append(Term(c, e))
-    return FermatReal(math.fsum(base) + 0.0, tuple(terms))
+    e = None
+    try:
+        std = math.fsum(base) + 0.0
+        for e in sorted(buckets):
+            c = math.fsum(buckets[e])
+            if c != 0.0:
+                terms.append(Term(c, e))
+    except (OverflowError, ValueError):
+        what = f"coefficient of dt[{_format_order(1 / e)}]" if e else "standard part"
+        raise NonFiniteError(f"{what} has no finite binary64 value") from None
+    return FermatReal(std, tuple(terms))
 
 
 def dt(order: RationalLike) -> FermatReal:

@@ -39,8 +39,12 @@ class NotSmoothAtPointError(FermatError):
     """Differentiation failed: no clean first-order increment at the point."""
 
 
-class NotInIdealError(FermatError):
-    """A displacement is not nilpotent at the level a Taylor sum requires."""
+class NotInIdealError(FermatError, ValueError):
+    """A displacement or parameter is not nilpotent at its level; a ValueError too."""
+
+
+class NonFiniteError(FermatError):
+    """A coefficient sum whose exact value has no finite binary64 value."""
 
 
 class UnboundVariableError(FermatError):

@@ -18,6 +18,7 @@ significant digits are rejected to keep exponent rationals small).
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,9 +26,7 @@ from typing import Callable, Mapping
 
 from . import calculus
 from .calculus import CATALOG, ext_apply
-from .core import FermatReal, as_fermat, dt, from_real, invert, mul, neg
-from .core import add as _add
-from .core import sub as _sub
+from .core import FermatReal, as_fermat, dt, from_real
 from .errors import NonPositiveOrderError, ParseError, UnboundVariableError
 
 _MAX_DEPTH = 100
@@ -35,6 +34,8 @@ _MAX_DEPTH = 100
 _FUNCTION_ARITY = {name: 1 for name in CATALOG}
 _FUNCTION_ARITY["pow"] = 2
 _FUNCTION_ARITY["log"] = 2
+_ARITHMETIC = {"+": operator.add, "-": operator.sub,
+               "*": operator.mul, "/": operator.truediv}
 
 
 class Expr:
@@ -153,11 +154,18 @@ class _Parser:
             node = Binary(op, node, self.factor())
         return node
 
+    # Unary minus, "^", "(" and call arguments all recurse through factor.
     def factor(self) -> Expr:
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            self.fail(self.peek(), "a shallower expression")
         if self.at_op("-"):
             self.advance()
-            return Unary("-", self.factor())
-        return self.power()
+            node = Unary("-", self.factor())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Expr:
         node = self.atom()
@@ -172,13 +180,9 @@ class _Parser:
             self.advance()
             return Lit(float(tok.text))
         if tok.kind == "op" and tok.text == "(":
-            self.depth += 1
-            if self.depth > _MAX_DEPTH:
-                raise ParseError(tok.pos, "a shallower expression", "'('")
             self.advance()
             node = self.expression()
             self.expect_op(")")
-            self.depth -= 1
             return node
         if tok.kind == "name":
             if tok.text == "dt":
@@ -289,7 +293,7 @@ def _eval(e: Expr, env: Mapping[str, FermatReal]) -> FermatReal:
         except KeyError:
             raise UnboundVariableError(e.name) from None
     if isinstance(e, Unary):
-        return neg(_eval(e.operand, env))
+        return -_eval(e.operand, env)
     if isinstance(e, Binary):
         if e.op == "^":
             base = _eval(e.left, env)
@@ -297,15 +301,7 @@ def _eval(e: Expr, env: Mapping[str, FermatReal]) -> FermatReal:
             if n is None:
                 return calculus.power(base, _eval(e.right, env))
             return base ** n
-        left = _eval(e.left, env)
-        right = _eval(e.right, env)
-        if e.op == "+":
-            return _add(left, right)
-        if e.op == "-":
-            return _sub(left, right)
-        if e.op == "*":
-            return mul(left, right)
-        return mul(left, invert(right))  # "/"
+        return _ARITHMETIC[e.op](_eval(e.left, env), _eval(e.right, env))
     if isinstance(e, Call):
         args = [_eval(a, env) for a in e.args]
         if e.name == "pow":
@@ -332,12 +328,15 @@ def free_variables(e: Expr) -> set[str]:
 
 
 def as_function(e: Expr, var: str | None = None) -> Callable[[object], FermatReal]:
-    """Turn a one-variable expression into a callable over Fermat reals."""
+    """Turn a one-variable expression into a callable over Fermat reals.
+    More than one free variable raises ValueError ("expression must have
+    exactly one free variable or none, found: x, y")."""
     if var is None:
         names = sorted(free_variables(e))
         if len(names) > 1:
             raise ValueError(
-                f"expression has more than one free variable: {', '.join(names)}"
+                "expression must have exactly one free variable or none, found: "
+                + ", ".join(names)
             )
         var = names[0] if names else None
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import as_fermat
+from .core import _natural, as_fermat
 
 _SVG_W = 480.0
 _SVG_H = 360.0
@@ -35,8 +35,7 @@ def graph_samples(x, delta: float, samples: int) -> GraphSample:
     delta = float(delta)
     if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
+    _natural(samples, "samples", least=2)
     exps = [(t.coeff, float(t.exp)) for t in x.terms]
     points = []
     for i in range(samples):

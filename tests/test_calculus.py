@@ -415,9 +415,10 @@ def test_param_poly_root_splitting_identity():
 
 
 def test_param_poly_validation():
-    with pytest.raises(ValueError):
+    assert issubclass(NotInIdealError, ValueError)
+    with pytest.raises(NotInIdealError):
         ParamPoly(params=[add(1, dt(2))], entries=[], level=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(NotInIdealError):
         ParamPoly(params=[dt(4)], entries=[], level=2)  # order 4 not at level 2
     with pytest.raises(ValueError):
         ParamPoly(params=[dt(1)], entries=[((2,), lambda: 0)], level=1)

@@ -82,6 +82,10 @@ def test_diff_rejects_two_variables(capsys):
     assert code == 3 and "exactly one free variable" in err
 
 
+def test_diff_of_a_constant(capsys):
+    assert run(capsys, "diff", "3", "--at", "0") == (0, "0\n", "")
+
+
 def test_prodzero(capsys):
     code, out, _ = run(capsys, "prodzero", "--orders", "6,6,6,2", "--exps", "1,1,1,1")
     assert code == 0 and out == "nonzero, order 1\n"
@@ -105,6 +109,14 @@ def test_iota(capsys):
 def test_prodzero_bad_order_is_an_evaluation_error(capsys):
     code, _, err = run(capsys, "prodzero", "--orders", "0.5", "--exps", "1")
     assert code == 3 and "orders must be >= 1" in err
+    code, _, err = run(capsys, "prodzero", "--orders", "x,1", "--exps", "1,1")
+    assert code == 3 and err == "fermat: invalid factor order: 'x'\n"
+
+
+def test_eval_coefficient_overflow_exit_3(capsys):
+    code, out, err = run(capsys, "eval", "1e308*dt[1]+1e308*dt[1]")
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert err == "fermat: coefficient of dt[1] has no finite binary64 value\n"
 
 
 def test_plot_csv(tmp_path, capsys):

@@ -27,7 +27,7 @@ from fermatreals import (
     standard_part,
     sub,
 )
-from fermatreals.errors import NonPositiveOrderError, NotInvertibleError
+from fermatreals.errors import NonFiniteError, NonPositiveOrderError, NotInvertibleError
 
 import helpers
 
@@ -46,6 +46,13 @@ def test_canonicalize_drops_exponents_above_one():
 
 def test_canonicalize_cancels_coefficients():
     assert canonicalize(2, [(1, F(1, 2)), (-1, F(1, 2))]) == from_real(2)
+
+
+def test_canonicalize_non_finite_sum_is_typed():
+    with pytest.raises(NonFiniteError, match=r"coefficient of dt\[1\]"):
+        canonicalize(0.0, [(1e308, F(1)), (1e308, F(1))])
+    with pytest.raises(NonFiniteError, match="standard part"):
+        canonicalize(0.0, [(math.inf, F(0)), (-math.inf, F(0))])
 
 
 def test_canonicalize_folds_exponent_zero_into_std():

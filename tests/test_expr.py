@@ -99,6 +99,12 @@ def test_parse_depth_guard():
     deep = "(" * 200 + "1" + ")" * 200
     with pytest.raises(ParseError):
         parse(deep)
+    # unary minus and "^" recurse too; the guard covers them
+    for text in ("0+" + "-" * 3000 + "1", "1" + "^1" * 3000):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert 0 <= info.value.position <= len(text)
+    assert evaluate(parse("(" * 99 + "1" + ")" * 99)) == from_real(1.0)
 
 
 # -- evaluate ------------------------------------------------------------------

@@ -26,6 +26,9 @@ def test_graph_samples_validation():
         graph_samples(dt(2), 0.0, 8)
     with pytest.raises(ValueError):
         graph_samples(dt(2), 0.01, 1)
+    for samples in (2.0, True):
+        with pytest.raises(ValueError):
+            graph_samples(dt(2), 0.01, samples)
 
 
 def test_dt2_dominates_dt1_pointwise():
