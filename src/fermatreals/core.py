@@ -3,16 +3,21 @@
 A value is kept in canonical decomposed form: a binary64 standard part plus
 a sorted tuple of infinitesimal terms ``c * dt[b]``, where ``dt[b]`` denotes
 the infinitesimal of order ``b >= 1`` and ``dt[1]`` is the smallest nonzero
-one.  Internally each term stores the *potential* exponent ``a = 1/b`` in
-``(0, 1]`` as an exact :class:`fractions.Fraction`; multiplication adds
-potential exponents, and any term whose exponent exceeds 1 is identically
-zero.  This makes nilpotency decidable by exact rational comparisons.
+one.  Each term shows the *potential* exponent ``a = 1/b`` in ``(0, 1]`` as
+an exact reduced :class:`fractions.Fraction`; multiplication adds potential
+exponents, and any term whose exponent exceeds 1 is identically zero.  This
+makes nilpotency decidable by exact rational comparisons.
 
-Exponent arithmetic never rounds.  Coefficients are floats compared exactly:
-a term exists iff its coefficient is not ``0.0``.  Coefficient merging uses
-``math.fsum``, so the result of a sum depends only on the multiset of
-addends, never on their order.  One truncated Taylor kernel, ``_taylor``,
-serves :func:`invert` and every smooth extension in ``calculus``.
+Exponent arithmetic never rounds, and it runs on integers: an operation
+puts its operands' exponents over one common denominator ``L``, so each is
+an integer ``k`` with ``a = k/L``, adding exponents adds integers and
+truncation is ``k <= L``.  Only the surviving terms are given a Fraction.
+Coefficients are floats compared exactly: a term exists iff its coefficient
+is not ``0.0``.  Coefficient merging uses ``math.fsum``, so the result of a
+sum depends only on the multiset of addends, never on their order; a sum
+with no finite binary64 value, NaN included, raises NonFiniteError.  One
+truncated Taylor kernel, ``_taylor``, serves :func:`invert` and every smooth
+extension in ``calculus``.
 
 Values are immutable; every operation is a pure function, so values can be
 shared freely across threads.
@@ -167,8 +172,11 @@ ONE = FermatReal(1.0, ())
 
 
 def from_real(r: float) -> FermatReal:
-    """Embed an ordinary real."""
-    return FermatReal(float(r) + 0.0, ())
+    """Embed an ordinary real; NaN raises NonFiniteError."""
+    r = float(r) + 0.0
+    if r != r:
+        raise NonFiniteError("standard part has no finite binary64 value")
+    return FermatReal(r, ())
 
 
 def _try_fermat(value):
@@ -201,26 +209,54 @@ def canonicalize(std: float, raw: Iterable[tuple]) -> FermatReal:
     with no finite binary64 value raises NonFiniteError.
     """
     base = [float(std)]
-    buckets: dict[Fraction, list[float]] = {}
+    kept = []
     for coeff, exp in raw:
         e = exp if isinstance(exp, Fraction) else Fraction(exp)
         c = float(coeff)
-        if e < 0:
+        n, d = e.numerator, e.denominator
+        if n < 0:
             raise ValueError(f"potential exponent must be >= 0, got {e}")
-        if e == 0:
+        if n == 0:
             base.append(c)
-        elif e <= 1:
-            buckets.setdefault(e, []).append(c)
+        elif n <= d:
+            kept.append((c, n, d))
+    den = math.lcm(*[d for _, _, d in kept])
+    return _lattice(base, [(c, n * (den // d)) for c, n, d in kept], den)
+
+
+def _common_den(terms) -> int:
+    """The least common denominator of the terms' exponents."""
+    return math.lcm(*[t.exp.denominator for t in terms])
+
+
+def _on_lattice(terms, den: int) -> list:
+    """Each term as ``(coeff, k)``, exponent ``k/den``; den a common denominator."""
+    return [(t.coeff, t.exp.numerator * (den // t.exp.denominator)) for t in terms]
+
+
+def _lattice(base: list, raw: list, den: int) -> FermatReal:
+    """The canonical form of ``fsum(base) + sum(c * t**(k/den))`` over the
+    ``(c, k)`` in raw, each with ``0 < k <= den``.  Equal k merge in one
+    fsum, zero sums vanish, and only the survivors get a Fraction exponent.
+    A standard part or coefficient with no finite binary64 value (an fsum
+    overflow, ``inf - inf``, or NaN) raises NonFiniteError."""
+    buckets: dict[int, list[float]] = {}
+    for c, k in raw:
+        buckets.setdefault(k, []).append(c)
     terms = []
-    e = None
+    k = 0
     try:
         std = math.fsum(base) + 0.0
-        for e in sorted(buckets):
-            c = math.fsum(buckets[e])
+        if std != std:
+            raise ValueError
+        for k in sorted(buckets):
+            c = math.fsum(buckets[k])
+            if c != c:
+                raise ValueError
             if c != 0.0:
-                terms.append(Term(c, e))
+                terms.append(Term(c, Fraction(k, den)))
     except (OverflowError, ValueError):
-        what = f"coefficient of dt[{_format_order(1 / e)}]" if e else "standard part"
+        what = f"coefficient of dt[{_format_order(Fraction(den, k))}]" if k else "standard part"
         raise NonFiniteError(f"{what} has no finite binary64 value") from None
     return FermatReal(std, tuple(terms))
 
@@ -242,9 +278,8 @@ def dt(order: RationalLike) -> FermatReal:
 
 def add(x, y) -> FermatReal:
     x, y = as_fermat(x), as_fermat(y)
-    raw = [(t.coeff, t.exp) for t in x.terms]
-    raw += [(t.coeff, t.exp) for t in y.terms]
-    return canonicalize(x.std + y.std, raw)
+    den = _common_den(x.terms + y.terms)
+    return _lattice([x.std + y.std], _on_lattice(x.terms + y.terms, den), den)
 
 
 def neg(x) -> FermatReal:
@@ -259,17 +294,15 @@ def sub(x, y) -> FermatReal:
 def mul(x, y) -> FermatReal:
     """Ring product; cross terms whose exponents sum above 1 vanish."""
     x, y = as_fermat(x), as_fermat(y)
+    den = _common_den(x.terms + y.terms)
+    kx, ky = _on_lattice(x.terms, den), _on_lattice(y.terms, den)
     raw = []
     if y.std != 0.0:
-        raw += [(t.coeff * y.std, t.exp) for t in x.terms]
+        raw += [(c * y.std, k) for c, k in kx]
     if x.std != 0.0:
-        raw += [(t.coeff * x.std, t.exp) for t in y.terms]
-    for tx in x.terms:
-        for ty in y.terms:
-            e = tx.exp + ty.exp
-            if e <= 1:
-                raw.append((tx.coeff * ty.coeff, e))
-    return canonicalize(x.std * y.std, raw)
+        raw += [(c * x.std, k) for c, k in ky]
+    raw += [(cx * cy, i + j) for cx, i in kx for cy, j in ky if i + j <= den]
+    return _lattice([x.std * y.std], raw, den)
 
 
 def _natural(n, what: str, least: int = 0) -> int:
@@ -295,11 +328,12 @@ def pow_nat(x, n: int) -> FermatReal:
 def _taylor(x: FermatReal, a: Callable[[int], float]) -> FermatReal:
     """Taylor sum ``sum(a(i) * h**i)`` at x = r + h, with a(i) the i-th
     Taylor coefficient at r and i up to N = floor(order(h)): h**(N+1)
-    vanishes, so the sum is exact.  One canonicalize rounds each
-    coefficient's sum once."""
+    vanishes, so the sum is exact.  Every power of h lies on h's lattice,
+    and one pass of ``_lattice`` rounds each coefficient's sum once."""
     if not x.terms:
         return from_real(a(0))
     h = FermatReal(0.0, x.terms)
+    den = _common_den(h.terms)
     raw = []
     hp = ONE
     for i in range(1, math.floor(x.terms[0].order) + 1):
@@ -307,8 +341,8 @@ def _taylor(x: FermatReal, a: Callable[[int], float]) -> FermatReal:
         if not hp.terms:
             break
         c = a(i)
-        raw += [(c * t.coeff, t.exp) for t in hp.terms]
-    return canonicalize(a(0), raw)
+        raw += [(c * ck, k) for ck, k in _on_lattice(hp.terms, den)]
+    return _lattice([a(0)], raw, den)
 
 
 def invert(x) -> FermatReal:
@@ -322,7 +356,8 @@ def invert(x) -> FermatReal:
     x = as_fermat(x)
     if x.std == 0.0:
         raise NotInvertibleError("not invertible: standard part is 0")
-    u = canonicalize(1.0, [(t.coeff / x.std, t.exp) for t in x.terms])
+    den = _common_den(x.terms)
+    u = _lattice([1.0], [(c / x.std, k) for c, k in _on_lattice(x.terms, den)], den)
     s = 1.0 / x.std
     return _taylor(u, lambda i: -s if i % 2 else s)
 

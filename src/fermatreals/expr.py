@@ -301,7 +301,17 @@ def _eval(e: Expr, env: Mapping[str, FermatReal]) -> FermatReal:
             if n is None:
                 return calculus.power(base, _eval(e.right, env))
             return base ** n
-        return _ARITHMETIC[e.op](_eval(e.left, env), _eval(e.right, env))
+        # A flat chain such as 1+1+...+1 nests to the left as deep as it is
+        # long, so walk its left spine in a loop; operands still evaluate
+        # left to right.
+        spine = []
+        while isinstance(e, Binary) and e.op in _ARITHMETIC:
+            spine.append(e)
+            e = e.left
+        acc = _eval(e, env)
+        for node in reversed(spine):
+            acc = _ARITHMETIC[node.op](acc, _eval(node.right, env))
+        return acc
     if isinstance(e, Call):
         args = [_eval(a, env) for a in e.args]
         if e.name == "pow":
@@ -313,18 +323,19 @@ def _eval(e: Expr, env: Mapping[str, FermatReal]) -> FermatReal:
 
 
 def free_variables(e: Expr) -> set[str]:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Unary):
-        return free_variables(e.operand)
-    if isinstance(e, Binary):
-        return free_variables(e.left) | free_variables(e.right)
-    if isinstance(e, Call):
-        out: set[str] = set()
-        for a in e.args:
-            out |= free_variables(a)
-        return out
-    return set()
+    out: set[str] = set()
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, Var):
+            out.add(e.name)
+        elif isinstance(e, Unary):
+            todo.append(e.operand)
+        elif isinstance(e, Binary):
+            todo += (e.left, e.right)
+        elif isinstance(e, Call):
+            todo += e.args
+    return out
 
 
 def as_function(e: Expr, var: str | None = None) -> Callable[[object], FermatReal]:

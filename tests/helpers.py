@@ -108,6 +108,25 @@ def rand_order_pair(rng: random.Random) -> tuple[FermatReal, FermatReal]:
     return build(std, tx), build(sy, ty)
 
 
+# Potential exponents with large coprime denominators: orders 997, 991/3,
+# 21/10, 997/500 and 991/331, so one common denominator passes 10**6.
+# EXP_POOL alone never takes it past 60.
+WIDE_EXP_POOL = sorted(set(EXP_POOL) | {F(1, 997), F(3, 991), F(10, 21),
+                                        F(500, 997), F(331, 991)})
+# The orders among them below 4, for the inverse, whose work grows with
+# the order.
+WIDE_LOW_ORDER_POOL = [e for e in WIDE_EXP_POOL if e > F(1, 4)]
+
+
+def rand_wide(
+    rng: random.Random, pool=WIDE_EXP_POOL, zero_std_prob: float = 0.35
+) -> FermatReal:
+    """A canonical value on ``pool``, built with the raw constructor."""
+    std = 0.0 if rng.random() < zero_std_prob else rand_coeff(rng)
+    exps = sorted(rng.sample(pool, rng.randint(0, 4)))
+    return FermatReal(std, tuple(Term(rand_coeff(rng), e) for e in exps))
+
+
 # -- dict-based term-multiset oracle --------------------------------------
 
 def to_dict(x: FermatReal) -> dict[Fraction, float]:
@@ -154,6 +173,39 @@ def oracle_mul(a: dict, b: dict) -> dict[Fraction, float]:
             if e <= 1:
                 buckets.setdefault(e, []).append(ca * cb)
     return _squash(buckets)
+
+
+def oracle_canonicalize(std: float, raw) -> dict[Fraction, float]:
+    """canonicalize keyed by Fraction exponent: exponents above 1 dropped,
+    one fsum per exponent, 0 the standard part."""
+    buckets: dict[Fraction, list[float]] = {F(0): [float(std)]}
+    for c, e in raw:
+        if F(e) <= 1:
+            buckets.setdefault(F(e), []).append(float(c))
+    return _squash(buckets)
+
+
+def oracle_invert(x: FermatReal) -> dict[Fraction, float]:
+    """invert's Taylor sum of 1/(std * (1 + h/std)), as core forms it: the
+    powers of h/std by oracle_mul, each scaled by +-1/std, then one fsum
+    per exponent."""
+    s = 1.0 / x.std
+    h = {t.exp: t.coeff / x.std for t in x.terms if t.coeff / x.std != 0.0}
+    buckets: dict[Fraction, list[float]] = {F(0): [s]}
+    power, sign = {F(0): 1.0}, s
+    while True:
+        power = oracle_mul(power, h)
+        del power[F(0)]
+        if not power:
+            return _squash(buckets)
+        sign = -sign
+        for e, c in power.items():
+            buckets.setdefault(e, []).append(sign * c)
+
+
+def from_dict(d: dict[Fraction, float]) -> FermatReal:
+    """The value an oracle dict describes, built with the raw constructor."""
+    return FermatReal(d[F(0)], tuple(Term(d[e], e) for e in sorted(d) if e != 0))
 
 
 def dicts_equal(a: dict, b: dict) -> bool:

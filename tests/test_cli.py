@@ -119,6 +119,24 @@ def test_eval_coefficient_overflow_exit_3(capsys):
     assert err == "fermat: coefficient of dt[1] has no finite binary64 value\n"
 
 
+def test_nan_is_an_evaluation_error(capsys):
+    # inf - inf has no value: it must not print "nan" (which does not
+    # parse back) or compare below everything in both directions
+    for argv in (("cmp", "1e400-1e400", "0"), ("cmp", "0", "1e400-1e400"),
+                 ("eval", "1e400-1e400")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err == "fermat: standard part has no finite binary64 value\n"
+
+
+def test_long_flat_chains_evaluate(capsys):
+    n = 10_000
+    assert run(capsys, "eval", "+".join(["1"] * n)) == (0, f"{n}\n", "")
+    assert run(capsys, "eval", "*".join(["1"] * n + ["dt[2]"])) == (0, "dt[2]\n", "")
+    # diff reads the free variables of the chain too
+    assert run(capsys, "diff", "+".join(["x"] * n), "--at", "0") == (0, f"{n}\n", "")
+
+
 def test_plot_csv(tmp_path, capsys):
     out_path = tmp_path / "curve.csv"
     code, _, _ = run(

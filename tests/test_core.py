@@ -55,6 +55,21 @@ def test_canonicalize_non_finite_sum_is_typed():
         canonicalize(0.0, [(math.inf, F(0)), (-math.inf, F(0))])
 
 
+def test_nan_never_enters_a_value():
+    nan, inf = math.nan, from_real(math.inf)
+    for make in (
+        lambda: from_real(nan),
+        lambda: canonicalize(nan, []),
+        lambda: sub(inf, inf),
+        lambda: mul(inf, 0),
+        lambda: mul(inf, dt(2)),
+    ):
+        with pytest.raises(NonFiniteError, match="standard part"):
+            make()
+    with pytest.raises(NonFiniteError, match=r"coefficient of dt\[3/2\]"):
+        canonicalize(1.0, [(nan, F(2, 3))])
+
+
 def test_canonicalize_folds_exponent_zero_into_std():
     assert canonicalize(1, [(2, F(0)), (1, F(1, 2))]) == add(3, dt(2))
 
@@ -155,6 +170,38 @@ def test_mul_commutative_bitwise():
         x = helpers.rand_fermat(rng)
         y = helpers.rand_fermat(rng)
         assert mul(x, y) == mul(y, x)
+
+
+def _same(got: FermatReal, want: dict) -> None:
+    """Equal to an oracle dict: same exact exponents, bit-identical
+    coefficients (``==`` on nonzero floats), and the hash of the value
+    built from the dict by the raw constructor."""
+    assert helpers.to_dict(got) == want, (got, want)
+    assert all(type(t.exp) is F for t in got.terms)
+    built = helpers.from_dict(want)
+    assert got == built and hash(got) == hash(built)
+
+
+def test_lattice_arithmetic_matches_fraction_keyed_oracle():
+    rng = random.Random(997)
+    for _ in range(1000):
+        x, y = helpers.rand_wide(rng), helpers.rand_wide(rng)
+        dx, dy = helpers.to_dict(x), helpers.to_dict(y)
+        _same(add(x, y), helpers.oracle_add(dx, dy))
+        _same(mul(x, y), helpers.oracle_mul(dx, dy))
+        assert hash(add(x, y)) == hash(add(y, x)) and hash(mul(x, y)) == hash(mul(y, x))
+        # raw input: repeats, cancellations, exponent 0 and exponents above 1
+        raw = [(t.coeff, t.exp) for t in x.terms + y.terms]
+        raw += [(-c, e) for c, e in raw[:1]] + [(c, e * 2) for c, e in raw[1:3]]
+        raw += [(helpers.rand_coeff(rng), F(0)), (1.0, F(999, 997))]
+        rng.shuffle(raw)
+        want = helpers.oracle_canonicalize(x.std, raw)
+        _same(canonicalize(x.std, raw), want)
+        # unreduced exponent strings reach the same value
+        text = [(c, f"{3 * e.numerator}/{3 * e.denominator}") for c, e in reversed(raw)]
+        _same(canonicalize(x.std, text), want)
+        v = helpers.rand_wide(rng, helpers.WIDE_LOW_ORDER_POOL, zero_std_prob=0.0)
+        _same(invert(v), helpers.oracle_invert(v))
 
 
 # -- pow_nat ----------------------------------------------------------------

@@ -158,6 +158,7 @@ def test_total_order_matches_oracle():
         x, y = helpers.rand_order_pair(rng)
         s = helpers.oracle_compare(x, y)
         assert compare(x, y) is (Verdict.LT, Verdict.EQ, Verdict.GT)[s + 1], (x, y)
+        assert compare(y, x) is (Verdict.GT, Verdict.EQ, Verdict.LT)[s + 1], (x, y)
         assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0), (x, y)
         assert leading_sign(x) == helpers.oracle_compare(x, ZERO), x
 
