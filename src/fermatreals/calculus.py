@@ -5,17 +5,18 @@ infinitesimal part) is a *finite* Taylor sum
 
     f(r) + sum_{i=1..N} f_i(r)/i! * h**i,      N = floor(order(h)),
 
-exact because h**(N+1) vanishes; it is core's Taylor kernel, which
-``invert`` runs too.  Each catalog function carries a derivative tower
-giving f_i(r) in closed form (cycles for sin/cos, integer-polynomial
-recurrences for tan/atan, and one exact falling-factorial tower shared by
-sqrt, recip, pow_const and ln), so high-order coefficients never
-accumulate error from nested differentiation.
+exact because h**(N+1) vanishes.  Each catalog function carries a
+derivative tower giving f_i(r) in closed form (cycles for sin/cos,
+integer-polynomial recurrences for tan/atan, and one exact falling-factorial
+tower shared by sqrt, recip, pow_const and ln), so high-order coefficients
+never accumulate error from nested differentiation.
 
 Also here: the first-derivative extractor built on square-zero
 increments, powers and logarithms with positive invertible bases, and
-infinitesimal polynomials with smooth coefficients and exact pruning of
-vanishing monomials, which also evaluate the multivariate Taylor sum.
+infinitesimal polynomials with smooth coefficients, which also evaluate
+the multivariate Taylor sum.  These Taylor sums and polynomials, like
+``invert``, are calls to core's one infinitesimal-polynomial kernel, which
+prunes vanishing monomials with the exact product-of-powers test.
 """
 
 from __future__ import annotations
@@ -29,26 +30,25 @@ from typing import Callable, Sequence
 
 from .core import (
     FermatReal,
-    ONE,
-    ZERO,
     add,
     as_fermat,
     dt,
     from_real,
     invert,
     mul,
-    pow_nat,
     sub,
     _natural,
+    _poly,
     _taylor,
 )
 from .errors import (
     DomainError,
+    NonFiniteError,
     NotInIdealError,
     NotInvertibleError,
     NotSmoothAtPointError,
 )
-from .order import in_ideal, order, product_power_zero
+from .order import in_ideal
 
 _DT1 = dt(1)
 
@@ -209,6 +209,16 @@ def pow_const(c: float) -> ElementaryFn:
     return ElementaryFn(f"pow[{c}]", tower, _positive, "standard part > 0")
 
 
+def _taylor_coeff(f: ElementaryFn, r: float, i: int) -> float:
+    """f_i(r) / i!, the exact quotient rounded once, for any i."""
+    try:
+        p, q = f.tower(r, i).as_integer_ratio()
+        return p / (q * math.factorial(i))
+    except OverflowError:
+        raise NonFiniteError(f"{f.name}: Taylor coefficient {i} at {r:g} "
+                             "has no finite binary64 value") from None
+
+
 def ext_apply(f: ElementaryFn, x) -> FermatReal:
     """Extend f to a Fermat-real argument by exact Taylor truncation.
 
@@ -223,7 +233,7 @@ def ext_apply(f: ElementaryFn, x) -> FermatReal:
             f"{f.name}: standard part {format(x.std, 'g')} outside domain "
             f"({f.domain_desc})"
         )
-    return _taylor(x, lambda i: f.tower(x.std, i) / math.factorial(i))
+    return _taylor(x, partial(_taylor_coeff, f, x.std))
 
 
 def derive(f: Callable[[FermatReal], FermatReal], at: float) -> float:
@@ -349,20 +359,10 @@ class ParamPoly:
 def eval_param_poly(p: ParamPoly, *point) -> FermatReal:
     """Evaluate the polynomial at a point (one argument per variable).
 
-    Vanishing parameter monomials are pruned by the product-of-powers
-    test before their coefficient is evaluated; domain errors from
-    coefficient callables propagate.
+    A call to core's polynomial kernel: vanishing parameter monomials are
+    pruned by the product-of-powers test before their coefficient is
+    evaluated, and every entry counts, repeated multi-indices included.
+    Domain errors from coefficient callables propagate.
     """
     vals = tuple(as_fermat(v) for v in point)
-    acc = ZERO
-    for q, coeff_fn in p.entries:
-        used = [(h, qi) for h, qi in zip(p.params, q) if qi > 0]
-        if any(h == ZERO for h, _ in used) or (used and product_power_zero(
-            [order(h) for h, _ in used], [qi for _, qi in used]
-        )):
-            continue
-        mono = ONE
-        for h, qi in used:
-            mono = mul(mono, pow_nat(h, qi))
-        acc = add(acc, mul(as_fermat(coeff_fn(*vals)), mono))
-    return acc
+    return _poly(p.params, [(q, partial(fn, *vals)) for q, fn in p.entries])

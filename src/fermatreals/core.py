@@ -16,8 +16,8 @@ Coefficients are floats compared exactly: a term exists iff its coefficient
 is not ``0.0``.  Coefficient merging uses ``math.fsum``, so the result of a
 sum depends only on the multiset of addends, never on their order; a sum
 with no finite binary64 value, NaN included, raises NonFiniteError.  One
-truncated Taylor kernel, ``_taylor``, serves :func:`invert` and every smooth
-extension in ``calculus``.
+infinitesimal-polynomial kernel, ``_poly``, serves :func:`invert`, every
+smooth extension and every polynomial in infinitesimals in ``calculus``.
 
 Values are immutable; every operation is a pure function, so values can be
 shared freely across threads.
@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from itertools import zip_longest
 from typing import Callable, Iterable, Tuple, Union
 
@@ -315,34 +316,55 @@ def _natural(n, what: str, least: int = 0) -> int:
 
 
 def pow_nat(x, n: int) -> FermatReal:
-    """Repeated multiplication; n = 0 gives 1."""
-    _natural(n, "exponent")
-    acc = ONE
-    for _ in range(n):
-        acc = mul(acc, x)
-        if acc == ZERO:
-            break
+    """x**n by square-and-multiply over the bits of n; n = 0 gives 1."""
+    acc = as_fermat(x) if _natural(n, "exponent") else ONE
+    for bit in bin(n)[3:]:
+        acc = mul(acc, acc)
+        if bit == "1":
+            acc = mul(acc, x)
     return acc
+
+
+def _poly(hs, entries) -> FermatReal:
+    """``sum(c() * prod(h_k ** q_k))`` over the ``(q, c)`` entries: q a
+    multi-index over the infinitesimals hs, c a thunk giving a float or a
+    FermatReal.  On the hs' common lattice den, with kmin_k the leading
+    exponent of h_k (den + 1 for a zero h_k), a monomial vanishes iff
+    ``sum(q_k * kmin_k) > den`` (the product-of-powers theorem), and then c
+    is not called.  Powers of each h_k are built once; every float product
+    goes into one ``_lattice`` call, so each coefficient is one fsum, and the
+    infinitesimal part of a FermatReal c is multiplied and added apart."""
+    den = _common_den([t for h in hs for t in h.terms])
+    kmin = [_on_lattice(h.terms[:1], den)[0][1] if h.terms else den + 1 for h in hs]
+    powers = [[ONE, h] for h in hs]
+    for table, h, k in zip(powers, hs, kmin):
+        while len(table) * k <= den:
+            table.append(mul(table[-1], h))
+    base, raw, rest = [], [], []
+    for q, coeff in entries:
+        if sum(i * k for i, k in zip(q, kmin)) > den:
+            continue
+        factors = [table[i] for table, i in zip(powers, q) if i]
+        mono = reduce(mul, factors) if factors else ONE
+        c = coeff()
+        if isinstance(c, FermatReal):
+            if c.terms:
+                part = FermatReal(0.0, c.terms)
+                rest.append(part if mono is ONE else mul(part, mono))
+            c = c.std
+        if mono is ONE:
+            base.append(c)
+        raw += [(c * ck, k) for ck, k in _on_lattice(mono.terms, den)]
+    return reduce(add, rest, _lattice(base, raw, den))
 
 
 def _taylor(x: FermatReal, a: Callable[[int], float]) -> FermatReal:
     """Taylor sum ``sum(a(i) * h**i)`` at x = r + h, with a(i) the i-th
     Taylor coefficient at r and i up to N = floor(order(h)): h**(N+1)
-    vanishes, so the sum is exact.  Every power of h lies on h's lattice,
-    and one pass of ``_lattice`` rounds each coefficient's sum once."""
-    if not x.terms:
-        return from_real(a(0))
-    h = FermatReal(0.0, x.terms)
-    den = _common_den(h.terms)
-    raw = []
-    hp = ONE
-    for i in range(1, math.floor(x.terms[0].order) + 1):
-        hp = mul(hp, h)
-        if not hp.terms:
-            break
-        c = a(i)
-        raw += [(c * ck, k) for ck, k in _on_lattice(hp.terms, den)]
-    return _lattice([a(0)], raw, den)
+    vanishes, so the sum is exact.  The one-parameter case of ``_poly``."""
+    n = math.floor(x.terms[0].order) if x.terms else 0
+    entries = [((i,), partial(a, i)) for i in range(n + 1)]
+    return _poly([FermatReal(0.0, x.terms)], entries)
 
 
 def invert(x) -> FermatReal:
@@ -379,11 +401,6 @@ def iota(x, k) -> FermatReal:
     x = as_fermat(x)
     level = _as_level(k, "truncation level")
     return FermatReal(x.std, tuple(t for t in x.terms if t.order > level))
-
-
-def eq(x, y) -> bool:
-    """Exact equality of canonical forms (the ring equality)."""
-    return as_fermat(x) == as_fermat(y)
 
 
 def eq_up_to(x, y, k) -> bool:

@@ -274,8 +274,8 @@ def evaluate(e: Expr, env: Mapping[str, FermatReal] | None = None) -> FermatReal
     """Evaluate bottom-up over the Fermat reals.
 
     Division multiplies by the inverse; ``^`` with an integer-literal
-    exponent is a repeated product (inverted when negative, with no
-    positivity requirement), while any other exponent goes through
+    exponent is ``pow_nat``, square-and-multiply (inverted when negative,
+    with no positivity requirement), while any other exponent goes through
     ``calculus.power`` and needs a strictly positive base.
     """
     env = {} if env is None else env

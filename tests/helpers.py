@@ -240,36 +240,64 @@ def assert_fermat_close(x: FermatReal, y: FermatReal, tol: float = 1e-12):
 
 
 # -- exact-rational truncated-series oracle ----------------------------------
+#
+# An oracle dict maps each exponent (0 for the standard part) to
+# ``(value, mag)``: the exact coefficient, and the sum of the absolute values
+# of every contribution to it, which scales the rounding a float evaluation
+# is allowed.
+
+def _exact(x) -> dict[Fraction, tuple[Fraction, Fraction]]:
+    """A number or FermatReal as an oracle dict of one contribution each."""
+    if not isinstance(x, FermatReal):
+        return {F(0): (F(x), abs(F(x)))}
+    d = {F(0): F(x.std)} | {t.exp: F(t.coeff) for t in x.terms}
+    return {e: (c, abs(c)) for e, c in d.items()}
+
+
+def _oracle_product(a: dict, b: dict) -> dict[Fraction, tuple[Fraction, Fraction]]:
+    """Product of two oracle dicts; exponents above 1 vanish."""
+    out: dict[Fraction, tuple[Fraction, Fraction]] = {}
+    for e1, (c1, m1) in a.items():
+        for e2, (c2, m2) in b.items():
+            if e1 + e2 <= 1:
+                c, m = out.get(e1 + e2, (F(0), F(0)))
+                out[e1 + e2] = (c + c1 * c2, m + m1 * m2)
+    return out
+
+
+def oracle_poly(params, entries) -> dict[Fraction, tuple[Fraction, Fraction]]:
+    """``sum(c * prod(h_k ** q_k))`` over the ``(q, c)`` entries, in exact
+    rationals: q a multi-index over the infinitesimals ``params``, c a
+    number or a FermatReal.  Every entry counts, and nothing is pruned
+    before multiplying out."""
+    hs = [{t.exp: (F(t.coeff), abs(F(t.coeff))) for t in h.terms} for h in params]
+    powers = [[{F(0): (F(1), F(1))}] for _ in hs]
+    out = {F(0): (F(0), F(0))}
+    for q, c in entries:
+        mono = _exact(c)
+        for h, table, i in zip(hs, powers, q):
+            while len(table) <= i:
+                table.append(_oracle_product(table[-1], h))
+            mono = _oracle_product(mono, table[i])
+        for e, (v, m) in mono.items():
+            w, n = out.get(e, (F(0), F(0)))
+            out[e] = (w + v, n + m)
+    return out
+
 
 def oracle_series(coeffs, x: FermatReal) -> dict[Fraction, tuple[Fraction, Fraction]]:
     """``sum_k coeffs[k] * h**k`` at ``x = r + h``, in exact rationals.
 
     ``coeffs`` holds the Fraction Taylor coefficients at the standard part
-    for k = 0..floor(order(h)).  Each exponent (0 for the standard part)
-    maps to ``(value, mag)``: the exact coefficient, and the sum of the
-    absolute values of every contribution to it, which scales the rounding
-    a float evaluation is allowed.
+    for k = 0..floor(order(h)); the one-parameter :func:`oracle_poly`.
     """
-    h = {t.exp: (F(t.coeff), abs(F(t.coeff))) for t in x.terms}
-    out = {F(0): (F(coeffs[0]), abs(F(coeffs[0])))}
-    power = {F(0): (F(1), F(1))}
-    for a in coeffs[1:]:
-        nxt: dict[Fraction, tuple[Fraction, Fraction]] = {}
-        for e1, (c1, m1) in power.items():
-            for e2, (c2, m2) in h.items():
-                if e1 + e2 <= 1:
-                    c, m = nxt.get(e1 + e2, (F(0), F(0)))
-                    nxt[e1 + e2] = (c + c1 * c2, m + m1 * m2)
-        power = nxt
-        for e, (c, m) in power.items():
-            v, w = out.get(e, (F(0), F(0)))
-            out[e] = (v + a * c, w + abs(a) * m)
-    return out
+    h = FermatReal(0.0, x.terms)
+    return oracle_poly([h], [((k,), F(a)) for k, a in enumerate(coeffs)])
 
 
 def series_error(got: FermatReal, ref: dict) -> float:
-    """Largest error of ``got`` against an :func:`oracle_series` result,
-    each exponent's error divided by its sum of absolute contributions."""
+    """Largest error of ``got`` against an :func:`oracle_poly` result, each
+    exponent's error divided by its sum of absolute contributions."""
     have = to_dict(got)
     worst = 0.0
     for e in set(have) | set(ref):

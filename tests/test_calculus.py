@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -14,6 +15,7 @@ from fermatreals import (
     ZERO,
     Verdict,
     add,
+    canonicalize,
     compare,
     derive,
     dt,
@@ -25,9 +27,11 @@ from fermatreals import (
     log,
     mul,
     neg,
+    order,
     pow_const,
     pow_nat,
     power,
+    product_power_zero,
     sub,
     taylor_multi,
 )
@@ -426,6 +430,74 @@ def test_param_poly_validation():
         ParamPoly(params=[dt(2)], entries=[], level=2.9)
     with pytest.raises(ValueError):
         ParamPoly(params=[dt(2)], entries=[((1.5,), lambda: 0)], level=2)
+
+
+# -- the polynomial kernel ---------------------------------------------------------
+
+def _kernel_params(rng):
+    """Parameters of leading orders 21/10, 9/2 and 12, some with lower-order
+    terms, and one or two zeros, in a random order."""
+    params = [ZERO] * rng.randint(1, 2)
+    for b in (F(21, 10), F(9, 2), F(12)):
+        lower = [e for e in helpers.EXP_POOL if e > 1 / b]
+        lower = rng.sample(lower, rng.randint(0, 2))
+        params.append(canonicalize(
+            0.0, [(helpers.rand_coeff(rng), e) for e in [1 / b] + lower]))
+    rng.shuffle(params)
+    return params
+
+
+def _kernel_entries(rng, params, level):
+    """Multi-indices around each parameter's nilpotency index, so about half
+    vanish, a few of them repeated."""
+    qs = []
+    while len(qs) < 150:
+        q = tuple(rng.randint(0, math.floor(order(h)) + 1) for h in params)
+        if sum(q) <= level:
+            qs.append(q)
+    return qs + rng.sample(qs, 15)
+
+
+def test_poly_kernel_calls_exactly_the_surviving_coefficients():
+    rng = random.Random(21)
+    for _ in range(8):
+        params = _kernel_params(rng)
+        qs = _kernel_entries(rng, params, 12)
+        coeffs = [helpers.rand_fermat(rng) if rng.random() < 0.2
+                  else helpers.rand_coeff(rng) for _ in qs]
+        calls = []
+
+        def coeff(i):
+            calls.append(i)
+            return coeffs[i]
+
+        entries = [(q, partial(coeff, i)) for i, q in enumerate(qs)]
+        got = eval_param_poly(ParamPoly(params, entries, 12))
+        survivors = []
+        for i, q in enumerate(qs):
+            used = [(h, k) for h, k in zip(params, q) if k]
+            if any(h == ZERO for h, _ in used) or (used and product_power_zero(
+                    [order(h) for h, _ in used], [k for _, k in used])):
+                continue
+            survivors.append(i)
+        assert calls == survivors
+        assert 0 < len(survivors) < len(qs)
+        ref = helpers.oracle_poly(params, [(q, coeffs[i]) for i, q in enumerate(qs)])
+        assert helpers.series_error(got, ref) <= 1e-14, got
+
+
+def test_taylor_multi_matches_exact_multivariate_oracle():
+    rng = random.Random(22)
+    for _ in range(40):
+        hs = [helpers.rand_infinitesimal(rng) for _ in range(rng.randint(1, 3))]
+        n = max(math.floor(order(h)) for h in hs)
+        xs = tuple(rng.uniform(-2.0, 2.0) for _ in hs)
+        js = [j for j in itertools.product(range(n + 1), repeat=len(hs)) if sum(j) <= n]
+        table = {j: helpers.rand_coeff(rng, 0.01, 10.0) for j in js}
+        got = taylor_multi(lambda j, x: table[j], xs, hs, n)
+        ref = helpers.oracle_poly(
+            hs, [(j, F(table[j]) / math.prod(map(math.factorial, j))) for j in js])
+        assert helpers.series_error(got, ref) <= 1e-14, got
 
 
 # -- regressions from worked identities -------------------------------------------

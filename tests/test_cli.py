@@ -129,6 +129,28 @@ def test_nan_is_an_evaluation_error(capsys):
         assert err == "fermat: standard part has no finite binary64 value\n"
 
 
+def test_smooth_extension_overflow_is_typed(capsys):
+    # a tower value or a Taylor coefficient past binary64 is exit 3, not a
+    # traceback
+    for expr in ("exp(1000)", "recip(1e-300+dt[3])", "atan(1e400+dt[2])",
+                 "recip(1e400+dt[2])", "ln(1e400+dt[2])", "sqrt(1e400+dt[2])"):
+        code, out, err = run(capsys, "eval", expr)
+        assert (code, out) == (3, ""), expr
+        name = expr.split("(")[0]
+        assert err.startswith(f"fermat: {name}: Taylor coefficient "), err
+        assert err.endswith(" has no finite binary64 value\n"), err
+        assert "Traceback" not in err
+
+
+def test_taylor_sums_past_170_factorial(capsys):
+    # 171! is past binary64, but 1/171! is a subnormal float
+    code, out, err = run(capsys, "eval", "exp(dt[171])")
+    assert (code, err) == (0, "") and out.startswith("1 + dt[171] + 0.5*dt[171/2] + ")
+    assert out.endswith("e-310*dt[1]\n")
+    code, out, err = run(capsys, "eval", "sin(1+dt[3]+dt[2000])")
+    assert (code, err) == (0, "") and out.startswith("0.8414709848078965 + ")
+
+
 def test_long_flat_chains_evaluate(capsys):
     n = 10_000
     assert run(capsys, "eval", "+".join(["1"] * n)) == (0, f"{n}\n", "")

@@ -15,7 +15,6 @@ from fermatreals import (
     add,
     canonicalize,
     dt,
-    eq,
     eq_up_to,
     from_real,
     invert,
@@ -218,6 +217,40 @@ def test_pow_nat_rejects_negative():
         pow_nat(dt(2), -1)
 
 
+def _left_to_right(x, n):
+    acc = ONE
+    for _ in range(n):
+        acc = mul(acc, x)
+    return acc
+
+
+def _binomial_series(x, n):
+    """The exact oracle of x**n: C(n, i) * std**(n-i) times h**i."""
+    depth = math.floor(x.terms[0].order) if x.terms else 0
+    r = F(x.std)
+    return helpers.oracle_series(
+        [math.comb(n, i) * r ** (n - i) for i in range(min(n, depth) + 1)], x)
+
+
+def test_pow_nat_by_squaring_matches_left_to_right_product():
+    rng = random.Random(15)
+    for _ in range(300):
+        x = helpers.rand_fermat(rng)
+        for n in range(4):
+            assert pow_nat(x, n) == _left_to_right(x, n), (x, n)
+        n = rng.randint(4, 40)
+        ref = _binomial_series(x, n)
+        assert helpers.series_error(pow_nat(x, n), ref) <= 1e-14, (x, n)
+        assert helpers.series_error(_left_to_right(x, n), ref) <= 1e-14, (x, n)
+
+
+def test_pow_nat_huge_exponents():
+    assert pow_nat(dt(3), 10**9) == ZERO
+    n = 10**8
+    want = canonicalize(1.0, [(math.comb(n, i), F(i, 3)) for i in (1, 2, 3)])
+    helpers.assert_fermat_close(pow_nat(add(1, dt(3)), n), want, tol=1e-12)
+
+
 # -- invert -----------------------------------------------------------------
 
 def test_invert_examples():
@@ -273,7 +306,7 @@ def test_iota_idempotent_and_respects_ops():
 
 
 def test_eq_examples():
-    assert eq(add(dt(2), dt(2)), mul(2, dt(2)))
+    assert add(dt(2), dt(2)) == mul(2, dt(2))
     rng = random.Random(12)
     for _ in range(50):
         x = helpers.rand_fermat(rng)
