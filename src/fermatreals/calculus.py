@@ -21,7 +21,6 @@ prunes vanishing monomials with the exact product-of-powers test.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +36,7 @@ from .core import (
     invert,
     mul,
     sub,
+    _leading,
     _natural,
     _poly,
     _taylor,
@@ -169,7 +169,7 @@ def _nonzero(r: float) -> bool:
 
 
 def _cos_nonzero(r: float) -> bool:
-    return math.cos(r) != 0.0
+    return math.isinf(r) or math.cos(r) != 0.0  # tan(inf) fails in its tower
 
 
 @dataclass(frozen=True)
@@ -209,13 +209,17 @@ def pow_const(c: float) -> ElementaryFn:
     return ElementaryFn(f"pow[{c}]", tower, _positive, "standard part > 0")
 
 
-def _taylor_coeff(f: ElementaryFn, r: float, i: int) -> float:
-    """f_i(r) / i!, the exact quotient rounded once, for any i."""
+def _taylor_coeff(value: Callable[[], float], js, name: str, at) -> float:
+    """value() / prod(j! for j in js), the exact quotient rounded once, for
+    any js.  No finite quotient (past binary64, or value() infinite, NaN or
+    math's domain error, as sin(inf)) raises NonFiniteError naming the
+    function, the multi-index and the point."""
     try:
-        p, q = f.tower(r, i).as_integer_ratio()
-        return p / (q * math.factorial(i))
-    except OverflowError:
-        raise NonFiniteError(f"{f.name}: Taylor coefficient {i} at {r:g} "
+        p, q = float(value()).as_integer_ratio()
+        return p / (q * math.prod(map(math.factorial, js)))
+    except (OverflowError, ValueError):
+        index, point = ",".join(map(str, js)), ", ".join(f"{v:g}" for v in at)
+        raise NonFiniteError(f"{name}: Taylor coefficient {index} at {point} "
                              "has no finite binary64 value") from None
 
 
@@ -226,6 +230,7 @@ def ext_apply(f: ElementaryFn, x) -> FermatReal:
     f_i(r) / i! from the tower; the sum stops at floor(order(h)) and on a
     plain real is just f itself.  Domain membership is checked on the
     standard part only: infinitesimal perturbations never leave the domain.
+    No value at the standard part (sin, cos or tan of inf) is NonFiniteError.
     """
     x = as_fermat(x)
     if not f.domain(x.std):
@@ -233,7 +238,8 @@ def ext_apply(f: ElementaryFn, x) -> FermatReal:
             f"{f.name}: standard part {format(x.std, 'g')} outside domain "
             f"({f.domain_desc})"
         )
-    return _taylor(x, partial(_taylor_coeff, f, x.std))
+    r = x.std
+    return _taylor(x, lambda i: _taylor_coeff(partial(f.tower, r, i), (i,), f.name, (r,)))
 
 
 def derive(f: Callable[[FermatReal], FermatReal], at: float) -> float:
@@ -258,13 +264,13 @@ def derive(f: Callable[[FermatReal], FermatReal], at: float) -> float:
         raise NotSmoothAtPointError(
             f"increment at {at!r} has nonzero standard part {d.std!r}"
         )
-    if not d.terms:
+    if not d.ks:
         return 0.0
-    if len(d.terms) > 1 or d.terms[0].exp != 1:
+    if d.ks != (1,):  # anything but one term dt[1], exponent 1/1
         raise NotSmoothAtPointError(
             f"increment at {at!r} has residual terms of order != 1: {d}"
         )
-    return d.terms[0].coeff
+    return d.cs[0]
 
 
 def taylor_multi(
@@ -278,17 +284,26 @@ def taylor_multi(
 
     ``partials(j, x)`` must return the mixed partial of multi-index j at
     the real point x.  The sum is evaluated as the infinitesimal polynomial
-    in h with coefficients d^j f(x) / j! by :func:`eval_param_poly`, which
-    prunes the monomials h**j that vanish before consulting the oracle.
+    in h with coefficients d^j f(x) / j! (rounded once) by
+    :func:`eval_param_poly`.  Only the multi-indices whose monomial h**j
+    survives the product-of-powers test are listed, so the oracle is never
+    consulted for a vanishing one.
     """
     _natural(n, "degree")
     xs = tuple(float(v) for v in x)
+    hs = [as_fermat(v) for v in h]
+    den, kmin = _leading(hs)
+    # (j, room, degree left), extended one parameter at a time in
+    # lexicographic order, keeping sum(j) <= n and sum(j_k * kmin_k) <= den
+    js = [((), den, n)]
+    for k in kmin:
+        js = [(j + (i,), room - i * k, left - i)
+              for j, room, left in js for i in range(min(left, room // k) + 1)]
     entries = [
-        (j, lambda j=j: partials(j, xs) / math.prod(map(math.factorial, j)))
-        for j in itertools.product(range(n + 1), repeat=len(h))
-        if sum(j) <= n
+        (j, partial(_taylor_coeff, partial(partials, j, xs), j, "taylor_multi", xs))
+        for j, _, _ in js
     ]
-    return eval_param_poly(ParamPoly(h, entries, n))
+    return eval_param_poly(ParamPoly(hs, entries, n))
 
 
 def power(x, y) -> FermatReal:

@@ -11,7 +11,7 @@ import math
 import re
 import sys
 
-from .core import FermatReal, _as_rational, _format_order, format_real, iota
+from .core import FermatReal, _as_rational, format_real, iota
 from .errors import FermatError, NonPositiveOrderError, ParseError
 from .expr import as_function, evaluate, parse
 from .calculus import derive
@@ -35,7 +35,7 @@ def _value_json(v: FermatReal) -> dict:
     return {
         "std": v.std,
         "terms": [
-            {"coeff": t.coeff, "order": _format_order(t.order)} for t in v.terms
+            {"coeff": t.coeff, "order": str(t.order)} for t in v.terms
         ],
     }
 
@@ -68,7 +68,7 @@ def _cmd_cmp(args) -> int:
 
 def _cmd_order(args) -> int:
     w = order(evaluate(parse(args.expr), _bindings(args)))
-    return _emit(args, _format_order(w), {"order": _format_order(w)})
+    return _emit(args, str(w), {"order": str(w)})
 
 
 def _cmd_nilpotent(args) -> int:
@@ -92,8 +92,8 @@ def _cmd_prodzero(args) -> int:
     w = product_power_order(orders, exps)
     return _emit(
         args,
-        f"nonzero, order {_format_order(w)}",
-        {"zero": False, "order": _format_order(w)},
+        f"nonzero, order {w}",
+        {"zero": False, "order": str(w)},
     )
 
 
@@ -123,16 +123,18 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-def _add_common(sub, bind=True):
+def _command(subs, name: str, handler, help: str, *positional: str, bind=True, **kw):
+    """Add a subcommand: its positional arguments, ``-b/--bind`` unless
+    bind is False, ``--json`` and its handler.  Returns its parser."""
+    s = subs.add_parser(name, help=help, **kw)
+    for arg in positional:
+        s.add_argument(arg)
     if bind:
-        sub.add_argument(
-            "-b",
-            "--bind",
-            action="append",
-            metavar="NAME=EXPR",
-            help="bind a variable (repeatable)",
-        )
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
+        s.add_argument("-b", "--bind", action="append", metavar="NAME=EXPR",
+                       help="bind a variable (repeatable)")
+    s.add_argument("--json", action="store_true", help="machine-readable output")
+    s.set_defaults(handler=handler)
+    return s
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -142,59 +144,29 @@ def _build_parser() -> argparse.ArgumentParser:
         "compare, differentiate, decide nilpotency, and plot.",
     )
     subs = p.add_subparsers(dest="command", required=True)
+    _command(subs, "eval", _cmd_eval, "evaluate an expression to canonical form", "expr",
+             aliases=["canon"])
+    _command(subs, "cmp", _cmd_cmp, "compare two expressions: LT, EQ or GT", "left", "right")
+    _command(subs, "order", _cmd_order, "order of the value (0 for plain reals)", "expr")
+    _command(subs, "nilpotent", _cmd_nilpotent, "smallest k with value**k == 0, or none",
+             "expr")
 
-    s = subs.add_parser(
-        "eval", aliases=["canon"], help="evaluate an expression to canonical form"
-    )
-    s.add_argument("expr")
-    _add_common(s)
-    s.set_defaults(handler=_cmd_eval)
-
-    s = subs.add_parser("cmp", help="compare two expressions: LT, EQ or GT")
-    s.add_argument("left")
-    s.add_argument("right")
-    _add_common(s)
-    s.set_defaults(handler=_cmd_cmp)
-
-    s = subs.add_parser("order", help="order of the value (0 for plain reals)")
-    s.add_argument("expr")
-    _add_common(s)
-    s.set_defaults(handler=_cmd_order)
-
-    s = subs.add_parser("nilpotent", help="smallest k with value**k == 0, or none")
-    s.add_argument("expr")
-    _add_common(s)
-    s.set_defaults(handler=_cmd_nilpotent)
-
-    s = subs.add_parser("diff", help="derivative of a one-variable expression")
-    s.add_argument("expr")
+    s = _command(subs, "diff", _cmd_diff, "derivative of a one-variable expression", "expr")
     s.add_argument("--at", type=float, required=True, metavar="X")
-    _add_common(s)
-    s.set_defaults(handler=_cmd_diff)
 
-    s = subs.add_parser(
-        "prodzero", help="decide whether a product of powers of infinitesimals is 0"
-    )
+    s = _command(subs, "prodzero", _cmd_prodzero,
+                 "decide whether a product of powers of infinitesimals is 0", bind=False)
     s.add_argument("--orders", required=True, help="comma-separated orders, e.g. 6,6,6,2")
     s.add_argument("--exps", required=True, help="comma-separated natural exponents")
-    _add_common(s, bind=False)
-    s.set_defaults(handler=_cmd_prodzero)
 
-    s = subs.add_parser("iota", help="truncate: drop terms of order <= K")
-    s.add_argument("expr")
+    s = _command(subs, "iota", _cmd_iota, "truncate: drop terms of order <= K", "expr")
     s.add_argument("--k", required=True, metavar="K", help="rational level, or 'inf'")
-    _add_common(s)
-    s.set_defaults(handler=_cmd_iota)
 
-    s = subs.add_parser("plot", help="write the representing curve as SVG or CSV")
-    s.add_argument("expr")
+    s = _command(subs, "plot", _cmd_plot, "write the representing curve as SVG or CSV", "expr")
     s.add_argument("--delta", type=float, default=0.01)
     s.add_argument("--samples", type=int, default=64)
     s.add_argument("--out", required=True)
     s.add_argument("--format", choices=("svg", "csv"), default="svg")
-    _add_common(s)
-    s.set_defaults(handler=_cmd_plot)
-
     return p
 
 

@@ -1,21 +1,22 @@
 """Arithmetic core: reals extended with nilpotent infinitesimals.
 
 A value is kept in canonical decomposed form: a binary64 standard part plus
-a sorted tuple of infinitesimal terms ``c * dt[b]``, where ``dt[b]`` denotes
+finitely many infinitesimal terms ``c * dt[b]``, where ``dt[b]`` denotes
 the infinitesimal of order ``b >= 1`` and ``dt[1]`` is the smallest nonzero
-one.  Each term shows the *potential* exponent ``a = 1/b`` in ``(0, 1]`` as
-an exact reduced :class:`fractions.Fraction`; multiplication adds potential
-exponents, and any term whose exponent exceeds 1 is identically zero.  This
-makes nilpotency decidable by exact rational comparisons.
+one.  A term carries the *potential* exponent ``a = 1/b`` in ``(0, 1]``;
+multiplication adds potential exponents, and any term whose exponent
+exceeds 1 is identically zero.  This makes nilpotency decidable by exact
+rational comparisons.
 
-Exponent arithmetic never rounds, and it runs on integers: an operation
-puts its operands' exponents over one common denominator ``L``, so each is
-an integer ``k`` with ``a = k/L``, adding exponents adds integers and
-truncation is ``k <= L``.  Only the surviving terms are given a Fraction.
-Coefficients are floats compared exactly: a term exists iff its coefficient
-is not ``0.0``.  Coefficient merging uses ``math.fsum``, so the result of a
-sum depends only on the multiset of addends, never on their order; a sum
-with no finite binary64 value, NaN included, raises NonFiniteError.  One
+Exponents never round: a value stores one least denominator ``den`` and an
+integer numerator ``k`` per term, ``a = k/den``.  An operation puts its
+operands on one common denominator (one integer multiply per term, none
+when they agree), so adding exponents adds integers and truncation is
+``k <= den``.  ``FermatReal.terms`` is an exact ``Term(coeff, Fraction)``
+view, built only when read.  Coefficients are floats compared exactly: a
+term exists iff its coefficient is not ``0.0``.  Coefficient merging uses
+``math.fsum``, so a sum depends only on the multiset of addends; a sum with
+no finite binary64 value, NaN included, raises NonFiniteError.  One
 infinitesimal-polynomial kernel, ``_poly``, serves :func:`invert`, every
 smooth extension and every polynomial in infinitesimals in ``calculus``.
 
@@ -29,12 +30,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import zip_longest
 from typing import Callable, Iterable, Tuple, Union
 
 from .errors import NonFiniteError, NonPositiveOrderError, NotInvertibleError
 
-Exponent = Fraction
 RationalLike = Union[int, Fraction, str]
 
 
@@ -58,10 +57,10 @@ def format_real(v: float) -> str:
     return repr(v)
 
 
-def _format_order(b: Fraction) -> str:
-    if b.denominator == 1:
-        return str(b.numerator)
-    return f"{b.numerator}/{b.denominator}"
+def _format_order(den: int, k: int) -> str:
+    """The order ``den/k`` of the exponent ``k/den``, in lowest terms."""
+    g = math.gcd(den, k)
+    return str(den // g) if k == g else f"{den // g}/{k // g}"
 
 
 @dataclass(frozen=True)
@@ -87,23 +86,47 @@ def _operator(fn):
     return method
 
 
-@dataclass(frozen=True, eq=False)
 class FermatReal:
     """A real number plus finitely many nilpotent infinitesimal terms.
 
-    ``terms`` is sorted by strictly increasing exponent (equivalently
-    strictly decreasing order); no zero coefficients, no repeated
-    exponents, no exponent above 1.  A pure real has no terms.  Build
-    values with :func:`canonicalize`, :func:`dt` or :func:`from_real`
-    rather than the raw constructor.
+    Stored on its exponent lattice as ``std + sum(c * t**(k/den))`` over the
+    parallel tuples ``ks`` (ints strictly increasing in ``(0, den]``) and
+    ``cs`` (nonzero floats), with ``gcd(den, *ks) == 1`` (den 1 for a pure
+    real).  ``terms``, the same Terms by increasing exponent (a reduced
+    Fraction), is a read-only view built on first access.  Build values
+    with :func:`canonicalize`, :func:`dt` or :func:`from_real`; the raw
+    constructor ``FermatReal(std, terms)`` takes canonical terms.
     """
 
-    std: float
-    terms: Tuple[Term, ...] = ()
+    __slots__ = ("std", "den", "ks", "cs", "_terms")
+
+    def __new__(cls, std: float, terms: Iterable[Term] = ()):
+        terms = tuple(terms)
+        den = math.lcm(*[t.exp.denominator for t in terms])
+        ks = tuple([t.exp.numerator * (den // t.exp.denominator) for t in terms])
+        return _make(std, den, ks, tuple([t.coeff for t in terms]))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FermatReal values are immutable: cannot change {name!r}")
+
+    def __delattr__(self, name):
+        self.__setattr__(name, None)
+
+    def __reduce__(self):
+        return FermatReal, (self.std, self.terms)
+
+    @property
+    def terms(self) -> Tuple[Term, ...]:
+        try:
+            return self._terms
+        except AttributeError:
+            terms = tuple([Term(c, Fraction(k, self.den)) for k, c in zip(self.ks, self.cs)])
+            _set_terms(self, terms)
+            return terms
 
     @property
     def is_real(self) -> bool:
-        return not self.terms
+        return not self.ks
 
     @property
     def is_infinitesimal(self) -> bool:
@@ -111,17 +134,17 @@ class FermatReal:
 
     def __str__(self) -> str:
         out = []
-        if self.std != 0.0 or not self.terms:
+        if self.std != 0.0 or not self.ks:
             out.append(format_real(self.std))
-        for t in self.terms:
-            mag = abs(t.coeff)
-            unit = f"dt[{_format_order(t.order)}]"
+        for k, c in zip(self.ks, self.cs):
+            mag = abs(c)
+            unit = f"dt[{_format_order(self.den, k)}]"
             body = unit if mag == 1.0 else f"{format_real(mag)}*{unit}"
             if out:
-                out.append(" - " if t.coeff < 0 else " + ")
+                out.append(" - " if c < 0 else " + ")
                 out.append(body)
             else:
-                out.append("-" + body if t.coeff < 0 else body)
+                out.append("-" + body if c < 0 else body)
         return "".join(out)
 
     def __repr__(self) -> str:
@@ -131,7 +154,8 @@ class FermatReal:
     # Each lambda looks up add, sub, mul, invert or _cmp when called, so
     # rebinding those module names (as a tracer does) reaches them too.
 
-    __eq__ = _operator(lambda x, y: x.std == y.std and x.terms == y.terms)
+    __eq__ = _operator(lambda x, y: x.std == y.std and x.den == y.den
+                       and x.ks == y.ks and x.cs == y.cs)
     __lt__ = _operator(lambda x, y: _cmp(x, y) < 0)
     __le__ = _operator(lambda x, y: _cmp(x, y) <= 0)
     __gt__ = _operator(lambda x, y: _cmp(x, y) > 0)
@@ -144,12 +168,12 @@ class FermatReal:
     __rtruediv__ = _operator(lambda x, y: mul(y, invert(x)))
 
     def __hash__(self):
-        if not self.terms:
+        if not self.ks:
             return hash(self.std)
-        return hash((self.std, self.terms))
+        return hash((self.std, self.den, self.ks, self.cs))
 
     def __bool__(self) -> bool:
-        return self.std != 0.0 or bool(self.terms)
+        return self.std != 0.0 or bool(self.ks)
 
     def __neg__(self):
         return neg(self)
@@ -168,8 +192,24 @@ class FermatReal:
         return NotImplemented
 
 
-ZERO = FermatReal(0.0, ())
-ONE = FermatReal(1.0, ())
+_set_std, _set_den, _set_ks, _set_cs, _set_terms = (
+    FermatReal.__dict__[name].__set__ for name in FermatReal.__slots__
+)
+
+
+def _make(std: float, den: int, ks: tuple, cs: tuple) -> FermatReal:
+    """A value from its lattice, which must already be canonical.  The
+    slots are filled through their descriptors, past ``__setattr__``."""
+    v = object.__new__(FermatReal)
+    _set_std(v, std)
+    _set_den(v, den)
+    _set_ks(v, ks)
+    _set_cs(v, cs)
+    return v
+
+
+ZERO = _make(0.0, 1, (), ())
+ONE = _make(1.0, 1, (), ())
 
 
 def from_real(r: float) -> FermatReal:
@@ -177,7 +217,7 @@ def from_real(r: float) -> FermatReal:
     r = float(r) + 0.0
     if r != r:
         raise NonFiniteError("standard part has no finite binary64 value")
-    return FermatReal(r, ())
+    return _make(r, 1, (), ())
 
 
 def _try_fermat(value):
@@ -225,26 +265,22 @@ def canonicalize(std: float, raw: Iterable[tuple]) -> FermatReal:
     return _lattice(base, [(c, n * (den // d)) for c, n, d in kept], den)
 
 
-def _common_den(terms) -> int:
-    """The least common denominator of the terms' exponents."""
-    return math.lcm(*[t.exp.denominator for t in terms])
+def _on(x: FermatReal, den: int) -> tuple:
+    """x's exponent numerators on the lattice ``den``, a multiple of x.den."""
+    s = den // x.den
+    return x.ks if s == 1 else tuple([k * s for k in x.ks])
 
 
-def _on_lattice(terms, den: int) -> list:
-    """Each term as ``(coeff, k)``, exponent ``k/den``; den a common denominator."""
-    return [(t.coeff, t.exp.numerator * (den // t.exp.denominator)) for t in terms]
-
-
-def _lattice(base: list, raw: list, den: int) -> FermatReal:
+def _lattice(base: list, raw: Iterable[tuple], den: int) -> FermatReal:
     """The canonical form of ``fsum(base) + sum(c * t**(k/den))`` over the
     ``(c, k)`` in raw, each with ``0 < k <= den``.  Equal k merge in one
-    fsum, zero sums vanish, and only the survivors get a Fraction exponent.
-    A standard part or coefficient with no finite binary64 value (an fsum
-    overflow, ``inf - inf``, or NaN) raises NonFiniteError."""
+    fsum, zero sums vanish, and den and the surviving k are divided by their
+    gcd (den 1 with no term).  A standard part or coefficient with no finite
+    binary64 value (fsum overflow, ``inf - inf``, NaN) is NonFiniteError."""
     buckets: dict[int, list[float]] = {}
     for c, k in raw:
         buckets.setdefault(k, []).append(c)
-    terms = []
+    ks, cs = [], []
     k = 0
     try:
         std = math.fsum(base) + 0.0
@@ -255,11 +291,16 @@ def _lattice(base: list, raw: list, den: int) -> FermatReal:
             if c != c:
                 raise ValueError
             if c != 0.0:
-                terms.append(Term(c, Fraction(k, den)))
+                ks.append(k)
+                cs.append(c)
     except (OverflowError, ValueError):
-        what = f"coefficient of dt[{_format_order(Fraction(den, k))}]" if k else "standard part"
+        what = f"coefficient of dt[{_format_order(den, k)}]" if k else "standard part"
         raise NonFiniteError(f"{what} has no finite binary64 value") from None
-    return FermatReal(std, tuple(terms))
+    g = math.gcd(den, *ks)
+    if g > 1:
+        den //= g
+        ks = [k // g for k in ks]
+    return _make(std, den, tuple(ks), tuple(cs))
 
 
 def dt(order: RationalLike) -> FermatReal:
@@ -274,18 +315,18 @@ def dt(order: RationalLike) -> FermatReal:
         raise NonPositiveOrderError(f"dt order must be positive, got {b}")
     if b < 1:
         return ZERO
-    return FermatReal(0.0, (Term(1.0, 1 / b),))
+    return _make(0.0, b.numerator, (b.denominator,), (1.0,))
 
 
 def add(x, y) -> FermatReal:
     x, y = as_fermat(x), as_fermat(y)
-    den = _common_den(x.terms + y.terms)
-    return _lattice([x.std + y.std], _on_lattice(x.terms + y.terms, den), den)
+    den = math.lcm(x.den, y.den)
+    return _lattice([x.std + y.std], zip(x.cs + y.cs, _on(x, den) + _on(y, den)), den)
 
 
 def neg(x) -> FermatReal:
     x = as_fermat(x)
-    return FermatReal(-x.std + 0.0, tuple(Term(-t.coeff, t.exp) for t in x.terms))
+    return _make(-x.std + 0.0, x.den, x.ks, tuple([-c for c in x.cs]))
 
 
 def sub(x, y) -> FermatReal:
@@ -295,8 +336,8 @@ def sub(x, y) -> FermatReal:
 def mul(x, y) -> FermatReal:
     """Ring product; cross terms whose exponents sum above 1 vanish."""
     x, y = as_fermat(x), as_fermat(y)
-    den = _common_den(x.terms + y.terms)
-    kx, ky = _on_lattice(x.terms, den), _on_lattice(y.terms, den)
+    den = math.lcm(x.den, y.den)
+    kx, ky = list(zip(x.cs, _on(x, den))), list(zip(y.cs, _on(y, den)))
     raw = []
     if y.std != 0.0:
         raw += [(c * y.std, k) for c, k in kx]
@@ -325,17 +366,22 @@ def pow_nat(x, n: int) -> FermatReal:
     return acc
 
 
+def _leading(hs) -> tuple[int, list[int]]:
+    """The infinitesimals hs' common lattice den, and on it each one's
+    leading exponent numerator kmin_k (den + 1 for a zero h_k)."""
+    den = math.lcm(*[h.den for h in hs])
+    return den, [h.ks[0] * (den // h.den) if h.ks else den + 1 for h in hs]
+
+
 def _poly(hs, entries) -> FermatReal:
     """``sum(c() * prod(h_k ** q_k))`` over the ``(q, c)`` entries: q a
     multi-index over the infinitesimals hs, c a thunk giving a float or a
-    FermatReal.  On the hs' common lattice den, with kmin_k the leading
-    exponent of h_k (den + 1 for a zero h_k), a monomial vanishes iff
+    FermatReal.  On the lattice of ``_leading(hs)``, a monomial vanishes iff
     ``sum(q_k * kmin_k) > den`` (the product-of-powers theorem), and then c
     is not called.  Powers of each h_k are built once; every float product
     goes into one ``_lattice`` call, so each coefficient is one fsum, and the
     infinitesimal part of a FermatReal c is multiplied and added apart."""
-    den = _common_den([t for h in hs for t in h.terms])
-    kmin = [_on_lattice(h.terms[:1], den)[0][1] if h.terms else den + 1 for h in hs]
+    den, kmin = _leading(hs)
     powers = [[ONE, h] for h in hs]
     for table, h, k in zip(powers, hs, kmin):
         while len(table) * k <= den:
@@ -348,13 +394,13 @@ def _poly(hs, entries) -> FermatReal:
         mono = reduce(mul, factors) if factors else ONE
         c = coeff()
         if isinstance(c, FermatReal):
-            if c.terms:
-                part = FermatReal(0.0, c.terms)
+            if c.ks:
+                part = _make(0.0, c.den, c.ks, c.cs)
                 rest.append(part if mono is ONE else mul(part, mono))
             c = c.std
         if mono is ONE:
             base.append(c)
-        raw += [(c * ck, k) for ck, k in _on_lattice(mono.terms, den)]
+        raw += [(c * ck, k) for ck, k in zip(mono.cs, _on(mono, den))]
     return reduce(add, rest, _lattice(base, raw, den))
 
 
@@ -362,9 +408,9 @@ def _taylor(x: FermatReal, a: Callable[[int], float]) -> FermatReal:
     """Taylor sum ``sum(a(i) * h**i)`` at x = r + h, with a(i) the i-th
     Taylor coefficient at r and i up to N = floor(order(h)): h**(N+1)
     vanishes, so the sum is exact.  The one-parameter case of ``_poly``."""
-    n = math.floor(x.terms[0].order) if x.terms else 0
+    n = x.den // x.ks[0] if x.ks else 0
     entries = [((i,), partial(a, i)) for i in range(n + 1)]
-    return _poly([FermatReal(0.0, x.terms)], entries)
+    return _poly([_make(0.0, x.den, x.ks, x.cs)], entries)
 
 
 def invert(x) -> FermatReal:
@@ -378,8 +424,7 @@ def invert(x) -> FermatReal:
     x = as_fermat(x)
     if x.std == 0.0:
         raise NotInvertibleError("not invertible: standard part is 0")
-    den = _common_den(x.terms)
-    u = _lattice([1.0], [(c / x.std, k) for c, k in _on_lattice(x.terms, den)], den)
+    u = _lattice([1.0], zip([c / x.std for c in x.cs], x.ks), x.den)
     s = 1.0 / x.std
     return _taylor(u, lambda i: -s if i % 2 else s)
 
@@ -400,7 +445,9 @@ def iota(x, k) -> FermatReal:
     strips every infinitesimal."""
     x = as_fermat(x)
     level = _as_level(k, "truncation level")
-    return FermatReal(x.std, tuple(t for t in x.terms if t.order > level))
+    # Order den/j > p/q, cross-multiplied; level inf is p/q = 1/0.
+    p, q = (1, 0) if level == math.inf else (level.numerator, level.denominator)
+    return _lattice([x.std], [(c, j) for j, c in zip(x.ks, x.cs) if x.den * q > p * j], x.den)
 
 
 def eq_up_to(x, y, k) -> bool:
@@ -413,25 +460,25 @@ def standard_part(x) -> float:
     return as_fermat(x).std
 
 
-_END = Term(0.0, Fraction(2))  # after every term: exponents are at most 1
-
-
 def _cmp(x: FermatReal, y: FermatReal) -> int:
     """Sign of x - y in the total order, without forming x - y.
 
     The standard parts decide, then the highest-order term where x and y
-    differ: comparing representatives near t = 0 reduces to this rule on
-    canonical forms.  Terms are sorted, so it is the first position where
-    the tuples differ; a side with no term at the smaller exponent there
-    (``_END`` pads the shorter) counts 0.  Nothing is added or subtracted,
-    so nothing can overflow.
+    differ (the rule on representatives near t = 0): the first position
+    where the sorted terms differ, each exponent numerator scaled by the
+    other value's den.  A side with no term at the smaller exponent there
+    counts 0; one with no terms left reads as exponent inf.  Nothing is
+    added or subtracted, so nothing can overflow.
     """
     a, b = x.std, y.std
     if a == b:
-        for tx, ty in zip_longest(x.terms, y.terms, fillvalue=_END):
-            if tx.exp != ty.exp or tx.coeff != ty.coeff:
-                a = tx.coeff if tx.exp <= ty.exp else 0.0
-                b = ty.coeff if ty.exp <= tx.exp else 0.0
+        xs = zip(x.ks + (math.inf,), x.cs + (0.0,))
+        ys = zip(y.ks + (math.inf,), y.cs + (0.0,))
+        for (i, cx), (j, cy) in zip(xs, ys):
+            i, j = i * y.den, j * x.den
+            if i != j or cx != cy:
+                a = cx if i <= j else 0.0
+                b = cy if j <= i else 0.0
                 break
         else:
             return 0

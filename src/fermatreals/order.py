@@ -8,7 +8,6 @@ cancellation laws, and the total order on values.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
@@ -32,9 +31,7 @@ class Verdict(Enum):
 def order(x) -> Fraction:
     """Largest order in the decomposition; 0 for a standard real."""
     x = as_fermat(x)
-    if not x.terms:
-        return Fraction(0)
-    return x.terms[0].order
+    return Fraction(x.den, x.ks[0]) if x.ks else Fraction(0)
 
 
 def in_ideal(x, a) -> bool:
@@ -56,9 +53,7 @@ def nilpotency_index(x) -> int | None:
     x = as_fermat(x)
     if x.std != 0.0:
         return None
-    if not x.terms:
-        return 1
-    return math.floor(order(x)) + 1
+    return x.den // x.ks[0] + 1 if x.ks else 1
 
 
 def _reciprocal_order_sum(orders: Sequence, exps: Sequence[int]) -> Fraction:

@@ -35,9 +35,11 @@ from fermatreals import (
     sub,
     taylor_multi,
 )
+from fermatreals import calculus
 from fermatreals.calculus import _atan_poly, _tan_poly
 from fermatreals.errors import (
     DomainError,
+    NonFiniteError,
     NotInIdealError,
     NotSmoothAtPointError,
 )
@@ -498,6 +500,58 @@ def test_taylor_multi_matches_exact_multivariate_oracle():
         ref = helpers.oracle_poly(
             hs, [(j, F(table[j]) / math.prod(map(math.factorial, j))) for j in js])
         assert helpers.series_error(got, ref) <= 1e-14, got
+
+
+def test_taylor_multi_lists_only_surviving_multi_indices(monkeypatch):
+    # the oracle sees exactly the multi-indices of total degree <= n whose
+    # monomial survives the product-of-powers test, in lexicographic order;
+    # the sum is the polynomial over them with each d^j f / j! rounded once,
+    # which equals plain float division while every j! is exact (n <= 18)
+    listed = []
+
+    class Recording(ParamPoly):
+        def __init__(self, params, entries, level):
+            super().__init__(params, entries, level)
+            listed.append(len(self.entries))
+
+    monkeypatch.setattr(calculus, "ParamPoly", Recording)
+    rng = random.Random(23)
+    cases = [((dt(2), dt(3), dt(150)), 150), ((dt(4), ZERO, dt("7/2")), 4)]
+    cases += [([helpers.rand_infinitesimal(rng) for _ in range(rng.randint(1, 3))], None)
+              for _ in range(20)]
+    for hs, n in cases:
+        n = n or max(math.floor(order(h)) for h in hs)
+        xs = tuple(rng.uniform(-2.0, 2.0) for _ in hs)
+        calls = []
+
+        def partials(j, x):
+            calls.append(j)
+            return math.fsum(x) + sum(j)
+
+        got = taylor_multi(partials, xs, hs, n)
+        # a power past a parameter's own nilpotency index already vanishes
+        ranges = [range(min(n, math.floor(order(h))) + 1) for h in hs]
+        want = [j for j in itertools.product(*ranges) if sum(j) <= n and not (
+            any(j) and product_power_zero(*zip(*[(order(h), k) for h, k in zip(hs, j) if k])))]
+        assert calls == want and listed[-1] == len(want)
+        once = [(j, float(F(partials(j, xs)) / math.prod(map(math.factorial, j))))
+                for j in want]
+        assert got == eval_param_poly(ParamPoly(hs, [(j, lambda c=c: c) for j, c in once], n))
+        if n <= 18:
+            every = [(j, lambda j=j: partials(j, xs) / math.prod(map(math.factorial, j)))
+                     for j in itertools.product(range(n + 1), repeat=len(hs)) if sum(j) <= n]
+            assert got == eval_param_poly(ParamPoly(hs, every, n))
+    assert listed[0] == 407
+
+
+def test_taylor_multi_divides_by_factorials_once():
+    # 171! is past binary64, but 1/171! is a subnormal float: the exp series
+    got = taylor_multi(lambda j, x: 1.0, (0.0,), (dt(171),), 171)
+    assert got == ext_apply(CATALOG["exp"], dt(171))
+    assert str(got).endswith("e-310*dt[1]")
+    for bad in (math.inf, math.nan):
+        with pytest.raises(NonFiniteError, match=r"taylor_multi: Taylor coefficient 0 at 0 has"):
+            taylor_multi(lambda j, x: bad, (0.0,), (dt(2),), 2)
 
 
 # -- regressions from worked identities -------------------------------------------

@@ -142,6 +142,20 @@ def test_smooth_extension_overflow_is_typed(capsys):
         assert "Traceback" not in err
 
 
+def test_trig_of_an_infinite_standard_part_is_typed(capsys):
+    # sin, cos and tan have no value at inf: a NonFiniteError naming the
+    # function, not math's untyped "math domain error"
+    for expr in ("sin(1e400)", "tan(1e400)", "cos(1e400+dt[2])", "sin(-1e400)"):
+        code, out, err = run(capsys, "eval", expr)
+        assert (code, out) == (3, ""), expr
+        name = expr.split("(")[0]
+        assert err.startswith(f"fermat: {name}: ") and err.count("\n") == 1, err
+        assert "domain error" not in err and "Traceback" not in err, err
+    # functions with a limit at an infinite standard part keep it
+    assert run(capsys, "eval", "atan(1e400)") == (0, "1.5707963267948966\n", "")
+    assert run(capsys, "eval", "exp(-1e400)") == (0, "0\n", "")
+
+
 def test_taylor_sums_past_170_factorial(capsys):
     # 171! is past binary64, but 1/171! is a subnormal float
     code, out, err = run(capsys, "eval", "exp(dt[171])")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fermatreals import (
+    CATALOG,
     FermatReal,
     ONE,
     Term,
@@ -16,6 +17,7 @@ from fermatreals import (
     canonicalize,
     dt,
     eq_up_to,
+    ext_apply,
     from_real,
     invert,
     iota,
@@ -25,6 +27,7 @@ from fermatreals import (
     pow_nat,
     standard_part,
     sub,
+    taylor_multi,
 )
 from fermatreals.errors import NonFiniteError, NonPositiveOrderError, NotInvertibleError
 
@@ -201,6 +204,53 @@ def test_lattice_arithmetic_matches_fraction_keyed_oracle():
         _same(canonicalize(x.std, text), want)
         v = helpers.rand_wide(rng, helpers.WIDE_LOW_ORDER_POOL, zero_std_prob=0.0)
         _same(invert(v), helpers.oracle_invert(v))
+
+
+# -- stored lattice -----------------------------------------------------------
+
+def _assert_stored(v: FermatReal) -> None:
+    """The stored lattice is canonical, ``terms`` is its exact view, the
+    raw constructor rebuilds the same value, and nothing can be set."""
+    assert type(v.ks) is tuple and type(v.cs) is tuple and len(v.ks) == len(v.cs)
+    assert math.gcd(v.den, *v.ks) == 1, v
+    assert v.ks or v.den == 1, v  # dt[1] is on den 1 too: ks == (1,)
+    assert all(0 < k <= v.den for k in v.ks) and list(v.ks) == sorted(set(v.ks)), v
+    assert all(type(k) is int for k in v.ks) and 0.0 not in v.cs, v
+    assert v.terms is v.terms
+    assert [(t.coeff, t.exp) for t in v.terms] == [(c, F(k, v.den)) for k, c in zip(v.ks, v.cs)]
+    assert all(type(t.exp) is F for t in v.terms)
+    again = FermatReal(v.std, v.terms)
+    assert again == v and hash(again) == hash(v)
+    assert (again.den, again.ks, again.cs) == (v.den, v.ks, v.cs)
+    for name in ("std", "den", "ks", "cs", "terms", "_terms", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, 0)
+    with pytest.raises(AttributeError):
+        del v.std
+
+
+def test_every_route_stores_a_canonical_lattice():
+    rng = random.Random(77)
+    for v in (ZERO, ONE, dt(1), dt(F(7, 3)), dt(150), from_real(-2.5)):
+        _assert_stored(v)
+    for _ in range(300):
+        # wide orders run to 997, too deep for benign Taylor coefficients
+        x, y, z = helpers.rand_wide(rng), helpers.rand_fermat(rng), helpers.rand_fermat(rng)
+        # cancelling x's leading term can shrink the denominator
+        raw = [(t.coeff, t.exp) for t in y.terms + x.terms] + [
+            (-t.coeff, t.exp) for t in x.terms[:1]]
+        k = F(rng.randint(0, 8), rng.randint(1, 3))
+        values = [x, y, FermatReal(y.std, y.terms), canonicalize(y.std, raw),
+                  add(x, y), sub(x, y), neg(x), mul(x, y), mul(x, x),
+                  pow_nat(z, rng.randint(0, 5)), iota(x, k), iota(y, math.inf),
+                  ext_apply(CATALOG["sin"], y), ext_apply(CATALOG["exp"], z)]
+        if z.std != 0.0:
+            values.append(invert(z))
+        hs = [FermatReal(0.0, v.terms) for v in (y, z)]
+        n = max(v.den // v.ks[0] if v.ks else 0 for v in hs)
+        values.append(taylor_multi(lambda j, p: 1.0 / (1 + sum(j)), (0.5, 0.25), hs, n))
+        for v in values:
+            _assert_stored(v)
 
 
 # -- pow_nat ----------------------------------------------------------------
