@@ -169,7 +169,7 @@ def _nonzero(r: float) -> bool:
 
 
 def _cos_nonzero(r: float) -> bool:
-    return math.isinf(r) or math.cos(r) != 0.0  # tan(inf) fails in its tower
+    return math.cos(r) != 0.0
 
 
 @dataclass(frozen=True)
@@ -209,13 +209,13 @@ def pow_const(c: float) -> ElementaryFn:
     return ElementaryFn(f"pow[{c}]", tower, _positive, "standard part > 0")
 
 
-def _taylor_coeff(value: Callable[[], float], js, name: str, at) -> float:
-    """value() / prod(j! for j in js), the exact quotient rounded once, for
-    any js.  No finite quotient (past binary64, or value() infinite, NaN or
-    math's domain error, as sin(inf)) raises NonFiniteError naming the
-    function, the multi-index and the point."""
+def _taylor_coeff(value: float, js, name: str, at) -> float:
+    """value / prod(j! for j in js), the exact quotient rounded once, for
+    any js.  An infinite or NaN value, or a quotient past binary64, raises
+    NonFiniteError naming the function, the multi-index and the point."""
+    value = float(value)
     try:
-        p, q = float(value()).as_integer_ratio()
+        p, q = value.as_integer_ratio()
         return p / (q * math.prod(map(math.factorial, js)))
     except (OverflowError, ValueError):
         index, point = ",".join(map(str, js)), ", ".join(f"{v:g}" for v in at)
@@ -230,16 +230,31 @@ def ext_apply(f: ElementaryFn, x) -> FermatReal:
     f_i(r) / i! from the tower; the sum stops at floor(order(h)) and on a
     plain real is just f itself.  Domain membership is checked on the
     standard part only: infinitesimal perturbations never leave the domain.
-    No value at the standard part (sin, cos or tan of inf) is NonFiniteError.
+    sin, cos and tan have no value at an infinite standard part: that is
+    NonFiniteError, as is a tower value past binary64.
     """
     x = as_fermat(x)
-    if not f.domain(x.std):
+    r = x.std
+
+    def coeff(i: int) -> float:
+        try:
+            value = f.tower(r, i)
+        except OverflowError:  # the tower's value is past binary64
+            value = math.inf
+        return _taylor_coeff(value, (i,), f.name, (r,))
+
+    try:
+        inside = f.domain(r)
+        if inside and math.isinf(r):
+            coeff(0)
+    except ValueError:
+        raise NonFiniteError(f"{f.name}: no value at standard part {r:g}") from None
+    if not inside:
         raise DomainError(
-            f"{f.name}: standard part {format(x.std, 'g')} outside domain "
+            f"{f.name}: standard part {format(r, 'g')} outside domain "
             f"({f.domain_desc})"
         )
-    r = x.std
-    return _taylor(x, lambda i: _taylor_coeff(partial(f.tower, r, i), (i,), f.name, (r,)))
+    return _taylor(x, coeff)
 
 
 def derive(f: Callable[[FermatReal], FermatReal], at: float) -> float:
@@ -266,7 +281,7 @@ def derive(f: Callable[[FermatReal], FermatReal], at: float) -> float:
         )
     if not d.ks:
         return 0.0
-    if d.ks != (1,):  # anything but one term dt[1], exponent 1/1
+    if d.den != 1 or d.ks != (1,):  # anything but one term dt[1], exponent 1/1
         raise NotSmoothAtPointError(
             f"increment at {at!r} has residual terms of order != 1: {d}"
         )
@@ -300,7 +315,7 @@ def taylor_multi(
         js = [(j + (i,), room - i * k, left - i)
               for j, room, left in js for i in range(min(left, room // k) + 1)]
     entries = [
-        (j, partial(_taylor_coeff, partial(partials, j, xs), j, "taylor_multi", xs))
+        (j, lambda j=j: _taylor_coeff(partials(j, xs), j, "taylor_multi", xs))
         for j, _, _ in js
     ]
     return eval_param_poly(ParamPoly(hs, entries, n))

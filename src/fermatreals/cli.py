@@ -123,18 +123,16 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-def _command(subs, name: str, handler, help: str, *positional: str, bind=True, **kw):
-    """Add a subcommand: its positional arguments, ``-b/--bind`` unless
-    bind is False, ``--json`` and its handler.  Returns its parser."""
-    s = subs.add_parser(name, help=help, **kw)
-    for arg in positional:
-        s.add_argument(arg)
+def _add_common(sub, bind=True):
     if bind:
-        s.add_argument("-b", "--bind", action="append", metavar="NAME=EXPR",
-                       help="bind a variable (repeatable)")
-    s.add_argument("--json", action="store_true", help="machine-readable output")
-    s.set_defaults(handler=handler)
-    return s
+        sub.add_argument(
+            "-b",
+            "--bind",
+            action="append",
+            metavar="NAME=EXPR",
+            help="bind a variable (repeatable)",
+        )
+    sub.add_argument("--json", action="store_true", help="machine-readable output")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -144,29 +142,59 @@ def _build_parser() -> argparse.ArgumentParser:
         "compare, differentiate, decide nilpotency, and plot.",
     )
     subs = p.add_subparsers(dest="command", required=True)
-    _command(subs, "eval", _cmd_eval, "evaluate an expression to canonical form", "expr",
-             aliases=["canon"])
-    _command(subs, "cmp", _cmd_cmp, "compare two expressions: LT, EQ or GT", "left", "right")
-    _command(subs, "order", _cmd_order, "order of the value (0 for plain reals)", "expr")
-    _command(subs, "nilpotent", _cmd_nilpotent, "smallest k with value**k == 0, or none",
-             "expr")
 
-    s = _command(subs, "diff", _cmd_diff, "derivative of a one-variable expression", "expr")
+    s = subs.add_parser(
+        "eval", aliases=["canon"], help="evaluate an expression to canonical form"
+    )
+    s.add_argument("expr")
+    _add_common(s)
+    s.set_defaults(handler=_cmd_eval)
+
+    s = subs.add_parser("cmp", help="compare two expressions: LT, EQ or GT")
+    s.add_argument("left")
+    s.add_argument("right")
+    _add_common(s)
+    s.set_defaults(handler=_cmd_cmp)
+
+    s = subs.add_parser("order", help="order of the value (0 for plain reals)")
+    s.add_argument("expr")
+    _add_common(s)
+    s.set_defaults(handler=_cmd_order)
+
+    s = subs.add_parser("nilpotent", help="smallest k with value**k == 0, or none")
+    s.add_argument("expr")
+    _add_common(s)
+    s.set_defaults(handler=_cmd_nilpotent)
+
+    s = subs.add_parser("diff", help="derivative of a one-variable expression")
+    s.add_argument("expr")
     s.add_argument("--at", type=float, required=True, metavar="X")
+    _add_common(s)
+    s.set_defaults(handler=_cmd_diff)
 
-    s = _command(subs, "prodzero", _cmd_prodzero,
-                 "decide whether a product of powers of infinitesimals is 0", bind=False)
+    s = subs.add_parser(
+        "prodzero", help="decide whether a product of powers of infinitesimals is 0"
+    )
     s.add_argument("--orders", required=True, help="comma-separated orders, e.g. 6,6,6,2")
     s.add_argument("--exps", required=True, help="comma-separated natural exponents")
+    _add_common(s, bind=False)
+    s.set_defaults(handler=_cmd_prodzero)
 
-    s = _command(subs, "iota", _cmd_iota, "truncate: drop terms of order <= K", "expr")
+    s = subs.add_parser("iota", help="truncate: drop terms of order <= K")
+    s.add_argument("expr")
     s.add_argument("--k", required=True, metavar="K", help="rational level, or 'inf'")
+    _add_common(s)
+    s.set_defaults(handler=_cmd_iota)
 
-    s = _command(subs, "plot", _cmd_plot, "write the representing curve as SVG or CSV", "expr")
+    s = subs.add_parser("plot", help="write the representing curve as SVG or CSV")
+    s.add_argument("expr")
     s.add_argument("--delta", type=float, default=0.01)
     s.add_argument("--samples", type=int, default=64)
     s.add_argument("--out", required=True)
     s.add_argument("--format", choices=("svg", "csv"), default="svg")
+    _add_common(s)
+    s.set_defaults(handler=_cmd_plot)
+
     return p
 
 

@@ -185,6 +185,11 @@ def test_derive_rejects_wrong_order_residuals():
 
     with pytest.raises(NotSmoothAtPointError):
         derive(weird, 0.0)
+    # a single residual term of another order: dt[b] for an integer b is
+    # stored with exponent numerator 1, like dt[1], on the lattice den = b
+    for residual in (dt(2), dt(3), mul(5, dt(2)), dt("3/2")):
+        with pytest.raises(NotSmoothAtPointError):
+            derive(lambda v, r=residual: ZERO if v.is_real else r, 0.0)
 
 
 def test_derive_residual_exactly_zero():
@@ -552,6 +557,17 @@ def test_taylor_multi_divides_by_factorials_once():
     for bad in (math.inf, math.nan):
         with pytest.raises(NonFiniteError, match=r"taylor_multi: Taylor coefficient 0 at 0 has"):
             taylor_multi(lambda j, x: bad, (0.0,), (dt(2),), 2)
+
+
+def test_taylor_multi_partials_errors_propagate():
+    # an error raised by the partials oracle itself is the caller's: it
+    # propagates unchanged, not as NonFiniteError
+    def partials(j, x):
+        raise ValueError("oracle failed")
+
+    with pytest.raises(ValueError, match="oracle failed") as info:
+        taylor_multi(partials, (0.0,), (dt(2),), 2)
+    assert not isinstance(info.value, NonFiniteError)
 
 
 # -- regressions from worked identities -------------------------------------------

@@ -154,6 +154,10 @@ def test_trig_of_an_infinite_standard_part_is_typed(capsys):
     # functions with a limit at an infinite standard part keep it
     assert run(capsys, "eval", "atan(1e400)") == (0, "1.5707963267948966\n", "")
     assert run(capsys, "eval", "exp(-1e400)") == (0, "0\n", "")
+    # outside a domain at -inf stays a domain error
+    for expr in ("ln(-1e400)", "sqrt(-1e400+dt[2])"):
+        code, out, err = run(capsys, "eval", expr)
+        assert (code, out) == (3, "") and "outside domain" in err, err
 
 
 def test_taylor_sums_past_170_factorial(capsys):
