@@ -22,10 +22,9 @@ prunes vanishing monomials with the exact product-of-powers test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (
     FermatReal,
@@ -172,8 +171,7 @@ def _cos_nonzero(r: float) -> bool:
     return math.cos(r) != 0.0
 
 
-@dataclass(frozen=True)
-class ElementaryFn:
+class ElementaryFn(NamedTuple):
     """A smooth function with a closed-form derivative tower.
 
     ``tower(r, i)`` is the i-th derivative at the real point r (i = 0 is

@@ -1,12 +1,11 @@
 """Command-line interface: ``fermat <subcommand> [args]``.
 
-Exit codes: 0 ok, 2 parse error, 3 evaluation error, 4 I/O error.
+Exit codes: 0 ok, 2 parse error, 3 evaluation or internal error, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -51,7 +50,10 @@ def _bindings(args) -> dict[str, FermatReal]:
 
 
 def _emit(args, text: str, payload: dict) -> int:
-    print(json.dumps(payload) if args.json else text)
+    if args.json:  # only --json loads json, so a plain call does not pay for it
+        import json
+        text = json.dumps(payload)
+    print(text)
     return 0
 
 
@@ -211,6 +213,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"fermat: {e}", file=sys.stderr)
         return 4
+    except Exception as e:
+        print(f"fermat: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -27,10 +27,9 @@ shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from typing import Callable, Iterable, Tuple, Union
+from typing import Callable, Iterable, NamedTuple, Tuple, Union
 
 from .errors import NonFiniteError, NonPositiveOrderError, NotInvertibleError
 
@@ -63,8 +62,7 @@ def _format_order(den: int, k: int) -> str:
     return str(den // g) if k == g else f"{den // g}/{k // g}"
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     """One infinitesimal term: ``coeff * dt[1/exp]`` with 0 < exp <= 1."""
 
     coeff: float
@@ -94,17 +92,14 @@ class FermatReal:
     ``cs`` (nonzero floats), with ``gcd(den, *ks) == 1`` (den 1 for a pure
     real).  ``terms``, the same Terms by increasing exponent (a reduced
     Fraction), is a read-only view built on first access.  Build values
-    with :func:`canonicalize`, :func:`dt` or :func:`from_real`; the raw
-    constructor ``FermatReal(std, terms)`` takes canonical terms.
+    with :func:`canonicalize`, :func:`dt` or :func:`from_real`, or with the
+    raw constructor ``FermatReal(std, terms)``, which canonicalizes them.
     """
 
     __slots__ = ("std", "den", "ks", "cs", "_terms")
 
     def __new__(cls, std: float, terms: Iterable[Term] = ()):
-        terms = tuple(terms)
-        den = math.lcm(*[t.exp.denominator for t in terms])
-        ks = tuple([t.exp.numerator * (den // t.exp.denominator) for t in terms])
-        return _make(std, den, ks, tuple([t.coeff for t in terms]))
+        return canonicalize(std, terms)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"FermatReal values are immutable: cannot change {name!r}")

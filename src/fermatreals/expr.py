@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from . import calculus
 from .calculus import CATALOG, ext_apply
@@ -39,47 +38,65 @@ _ARITHMETIC = {"+": operator.add, "-": operator.sub,
 
 
 class Expr:
-    """Base class for expression nodes (immutable)."""
+    """Base class for expression nodes: immutable, and built, compared,
+    hashed and shown by the fields its subclass names in ``__slots__``."""
 
     __slots__ = ()
 
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
-@dataclass(frozen=True)
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"expression nodes are immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        """The node's type and field values: Lit(2.0) and DtLit(2) differ."""
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Expr) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return self._key()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 class Lit(Expr):
-    value: float
+    __slots__ = ("value",)  # float
 
 
-@dataclass(frozen=True)
 class DtLit(Expr):
-    order: Fraction
+    __slots__ = ("order",)  # Fraction
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)  # str
 
 
-@dataclass(frozen=True)
 class Unary(Expr):
-    op: str
-    operand: Expr
+    __slots__ = ("op", "operand")  # str, Expr
 
 
-@dataclass(frozen=True)
 class Binary(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")  # str, Expr, Expr
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    name: str
-    args: tuple[Expr, ...]
+    __slots__ = ("name", "args")  # str, tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "number" | "name" | "op" | "eof"
     text: str
     pos: int

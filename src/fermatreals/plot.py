@@ -11,7 +11,7 @@ never cross.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import _natural, as_fermat
 
@@ -20,8 +20,7 @@ _SVG_H = 360.0
 _SVG_MARGIN = 40.0
 
 
-@dataclass(frozen=True)
-class GraphSample:
+class GraphSample(NamedTuple):
     """Sampled curve: (value, t) points with t strictly increasing in
     [0, delta)."""
 

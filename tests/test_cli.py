@@ -3,6 +3,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
+from fermatreals import cli
 from fermatreals.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -176,6 +179,22 @@ def test_long_flat_chains_evaluate(capsys):
     # diff reads the free variables of the chain too
     assert run(capsys, "diff", "+".join(["x"] * n), "--at", "0") == (0, f"{n}\n", "")
 
+
+
+def test_unexpected_error_is_one_line_exit_3(capsys, monkeypatch):
+    def fail(args):
+        raise RuntimeError("handler broke")
+
+    monkeypatch.setattr(cli, "_cmd_eval", fail)
+    code, out, err = run(capsys, "eval", "1")
+    assert (code, out, err) == (3, "", "fermat: internal error: RuntimeError: handler broke\n")
+
+    def interrupt(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_eval", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["eval", "1"])
 
 def test_plot_csv(tmp_path, capsys):
     out_path = tmp_path / "curve.csv"

@@ -12,9 +12,11 @@ from fermatreals import (
     FermatReal,
     ONE,
     Term,
+    Verdict,
     ZERO,
     add,
     canonicalize,
+    compare,
     dt,
     eq_up_to,
     ext_apply,
@@ -24,6 +26,7 @@ from fermatreals import (
     leading_sign,
     mul,
     neg,
+    order,
     pow_nat,
     standard_part,
     sub,
@@ -252,6 +255,22 @@ def test_every_route_stores_a_canonical_lattice():
         for v in values:
             _assert_stored(v)
 
+
+
+def test_raw_constructor_canonicalizes():
+    want = canonicalize(0.0, [(1.0, F(1, 2)), (2.0, F(1, 3))])
+    # unsorted terms
+    x = FermatReal(0.0, (Term(1.0, F(1, 2)), Term(2.0, F(1, 3))))
+    assert str(x) == "2*dt[3] + dt[2]" and order(x) == 3
+    assert x == want and hash(x) == hash(want) and compare(x, want) is Verdict.EQ
+    # a zero coefficient
+    y = FermatReal(1.0, (Term(0.0, F(1, 2)),))
+    assert str(y) == "1" and y == ONE and hash(y) == hash(ONE)
+    # repeated exponents merge; exponents 0 and above 1 fold or vanish
+    z = FermatReal(0.0, (Term(1.0, F(1, 2)), Term(1.0, F(1, 2)), Term(3.0, F(0)), Term(5.0, F(2))))
+    assert z == add(3, mul(2, dt(2)))
+    for v in (x, y, z):
+        _assert_stored(v)
 
 # -- pow_nat ----------------------------------------------------------------
 

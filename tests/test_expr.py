@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -94,6 +96,24 @@ def test_parse_precedence():
     # right associativity
     assert parse("2^3^2") == Binary("^", Lit(2.0), Binary("^", Lit(3.0), Lit(2.0)))
 
+
+
+def test_nodes_compare_hash_and_show_by_type_and_fields():
+    # equal fields of different node types: Lit(2.0) and DtLit(Fraction(2))
+    assert parse("2") != parse("dt[2]")
+    assert parse("x") != parse("exp(x)") and parse("1+x") != parse("1-x")
+    for text in ("2", "dt[3/2]", "x", "-x", "sin(x)+2*dt[3]^2", "log(2, 1+dt[2])"):
+        a, b = parse(text), parse(text)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    assert repr(parse("2^3")) == "Binary(op='^', left=Lit(value=2.0), right=Lit(value=3.0))"
+    node = parse("sin(x)*2")
+    for n in (node, node.left, node.right, node.left.args[0], parse("-dt[2]")):
+        for name in n.__slots__ + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(n, name, None)
+        with pytest.raises(AttributeError):
+            delattr(n, n.__slots__[0])
 
 def test_parse_depth_guard():
     deep = "(" * 200 + "1" + ")" * 200
