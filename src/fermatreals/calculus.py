@@ -6,10 +6,12 @@ infinitesimal part) is a *finite* Taylor sum
     f(r) + sum_{i=1..N} f_i(r)/i! * h**i,      N = floor(order(h)),
 
 exact because h**(N+1) vanishes.  Each catalog function carries a
-derivative tower giving f_i(r) in closed form (cycles for sin/cos,
-integer-polynomial recurrences for tan/atan, and one exact falling-factorial
-tower shared by sqrt, recip, pow_const and ln), so high-order coefficients
-never accumulate error from nested differentiation.
+derivative tower giving f_i(r) in closed form (cycles for sin/cos, an
+integer-polynomial recurrence for tan), so high-order coefficients never
+accumulate error from nested differentiation.  The towers of atan and of
+sqrt, recip, pow_const and ln (one falling-factorial tower) are exact on
+the integers n, d of r = n/d and round once, as one int / int division; a
+derivative past binary64 is divided by i! before that rounding.
 
 Also here: the first-derivative extractor built on square-zero
 increments, powers and logarithms with positive invertible bases, and
@@ -74,10 +76,6 @@ def _cos_tower(r: float, i: int) -> float:
     return _SIN_CYCLE[(i + 1) % 4](r)
 
 
-def _poly_derivative(p: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(k * c for k, c in enumerate(p))[1:]
-
-
 def _poly_eval(p: tuple[int, ...], u: float) -> float:
     acc = 0.0
     for c in reversed(p):
@@ -91,7 +89,7 @@ def _tan_poly(i: int) -> tuple[int, ...]:
     # p_{i+1} = p_i' * (1 + u**2).  Integer coefficients, exact.
     if i == 0:
         return (0, 1)
-    dp = _poly_derivative(_tan_poly(i - 1))
+    dp = tuple(k * c for k, c in enumerate(_tan_poly(i - 1)))[1:]
     out = [0] * (len(dp) + 2)
     for k, c in enumerate(dp):
         out[k] += c
@@ -103,29 +101,32 @@ def _tan_tower(r: float, i: int) -> float:
     return _poly_eval(_tan_poly(i), math.tan(r))
 
 
-@lru_cache(maxsize=None)
-def _atan_poly(i: int) -> tuple[int, ...]:
-    # q_i over r with d^i atan = q_i(r) / (1 + r**2)**i for i >= 1:
-    # q_1 = 1,  q_{i+1} = q_i' * (1 + r**2) - 2*i*r * q_i.
-    if i == 1:
-        return (1,)
-    q = _atan_poly(i - 1)
-    dq = _poly_derivative(q)
-    out = [0] * (len(q) + 1)
-    for k, c in enumerate(dq):
-        out[k] += c
-        out[k + 2] += c
-    for k, c in enumerate(q):
-        out[k + 1] -= 2 * (i - 1) * c
-    return tuple(out)
+class _Huge(OverflowError):
+    """A tower value past binary64, as the ``(n, d, scale)`` of _exact."""
+
+
+def _exact(n: int, d: int, scale=None) -> float:
+    """n / d rounded once, times ``scale()`` if given; CPython rounds an
+    int / int true division correctly, as ``float(Fraction(n, d))`` does."""
+    if d < 0:
+        n, d = -n, -d
+    try:
+        ratio = n / d
+    except OverflowError:
+        raise _Huge(n, d, scale) from None
+    return ratio * scale() if scale else ratio
 
 
 def _atan_tower(r: float, i: int) -> float:
+    """With r = n/d, atan's i-th derivative is
+    ``(-1)**(i-1) * (i-1)! * Im((n + d*1j)**i) * d**i / (n*n + d*d)**i``."""
     if i == 0:
         return math.atan(r)
-    rq = Fraction(r)
-    num = sum(c * rq**k for k, c in enumerate(_atan_poly(i)))
-    return float(Fraction(num) / (1 + rq * rq) ** i)
+    n, d = r.as_integer_ratio()
+    re, im = 1, 0
+    for _ in range(i):
+        re, im = re * n - im * d, re * d + im * n
+    return _exact((-1) ** (i - 1) * math.factorial(i - 1) * im * d**i, (n * n + d * d) ** i)
 
 
 def _power_tower(c: Fraction, value, r: float, i: int) -> float:
@@ -139,12 +140,12 @@ def _power_tower(c: Fraction, value, r: float, i: int) -> float:
     exact = q == 1 and abs(p) <= 1024
     if i == 0 and not exact:
         return value(r)
-    falling = 1
-    for k in range(i):
-        falling *= p - k * q
-    if exact:
-        return float(falling * Fraction(r) ** (p - i))
-    return float(falling / (q * Fraction(r)) ** i) * value(r)
+    falling = math.prod(range(p, p - i * q, -q))
+    n, d = r.as_integer_ratio()
+    if not exact:
+        return _exact(falling * d**i, (q * n) ** i, partial(value, r))
+    e = p - i
+    return _exact(falling * n**e, d**e) if e >= 0 else _exact(falling * d**-e, n**-e)
 
 
 _sqrt_tower = partial(_power_tower, Fraction(1, 2), math.sqrt)
@@ -207,14 +208,24 @@ def pow_const(c: float) -> ElementaryFn:
     return ElementaryFn(f"pow[{c}]", tower, _positive, "standard part > 0")
 
 
-def _taylor_coeff(value: float, js, name: str, at) -> float:
+def _taylor_coeff(value, js, name: str, at) -> float:
     """value / prod(j! for j in js), the exact quotient rounded once, for
-    any js.  An infinite or NaN value, or a quotient past binary64, raises
-    NonFiniteError naming the function, the multi-index and the point."""
-    value = float(value)
+    any js; value is a float or a tower's _Huge.  An infinite or NaN value,
+    or a quotient past binary64, raises NonFiniteError naming the function,
+    the multi-index and the point."""
+    if not isinstance(value, _Huge):
+        value = float(value)
     try:
-        p, q = value.as_integer_ratio()
-        return p / (q * math.prod(map(math.factorial, js)))
+        if isinstance(value, float):
+            p, q = value.as_integer_ratio()
+            if max(js, default=0) >= 320:  # 320! > 2**2200: below 2**-1075
+                return math.copysign(0.0, p)
+            return p / (q * math.prod(map(math.factorial, js)))
+        p, q, scale = value.args
+        c = p / (q * math.prod(map(math.factorial, js))) * (scale() if scale else 1.0)
+        if math.isinf(c):
+            raise OverflowError
+        return c
     except (OverflowError, ValueError):
         index, point = ",".join(map(str, js)), ", ".join(f"{v:g}" for v in at)
         raise NonFiniteError(f"{name}: Taylor coefficient {index} at {point} "
@@ -237,8 +248,8 @@ def ext_apply(f: ElementaryFn, x) -> FermatReal:
     def coeff(i: int) -> float:
         try:
             value = f.tower(r, i)
-        except OverflowError:  # the tower's value is past binary64
-            value = math.inf
+        except OverflowError as exc:  # the tower's value is past binary64
+            value = exc if isinstance(exc, _Huge) else math.inf
         return _taylor_coeff(value, (i,), f.name, (r,))
 
     try:

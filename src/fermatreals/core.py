@@ -10,15 +10,15 @@ rational comparisons.
 
 Exponents never round: a value stores one least denominator ``den`` and an
 integer numerator ``k`` per term, ``a = k/den``.  An operation puts its
-operands on one common denominator (one integer multiply per term, none
-when they agree), so adding exponents adds integers and truncation is
-``k <= den``.  ``FermatReal.terms`` is an exact ``Term(coeff, Fraction)``
-view, built only when read.  Coefficients are floats compared exactly: a
-term exists iff its coefficient is not ``0.0``.  Coefficient merging uses
-``math.fsum``, so a sum depends only on the multiset of addends; a sum with
-no finite binary64 value, NaN included, raises NonFiniteError.  One
-infinitesimal-polynomial kernel, ``_poly``, serves :func:`invert`, every
-smooth extension and every polynomial in infinitesimals in ``calculus``.
+operands on one common denominator, so adding exponents adds integers and
+truncation is ``k <= den``.  ``FermatReal.terms`` is an exact
+``Term(coeff, Fraction)`` view, built only when read.  Coefficients are
+floats compared exactly: a term exists iff its coefficient is not ``0.0``.
+Operations append float addends to buckets ``k -> [addends]`` (k = 0 is the
+standard part) and round each bucket once with ``math.fsum``; a sum with no
+finite binary64 value, NaN included, raises NonFiniteError.  One kernel,
+``_poly``, serves :func:`invert`, every smooth extension and the polynomials
+of ``calculus``; its powers are ``{k: c}`` dicts on one lattice.
 
 Values are immutable; every operation is a pure function, so values can be
 shared freely across threads.
@@ -27,6 +27,7 @@ shared freely across threads.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import partial, reduce
 from typing import Callable, Iterable, NamedTuple, Tuple, Union
@@ -244,7 +245,6 @@ def canonicalize(std: float, raw: Iterable[tuple]) -> FermatReal:
     increasing exponent.  Exponents must be nonnegative rationals; a sum
     with no finite binary64 value raises NonFiniteError.
     """
-    base = [float(std)]
     kept = []
     for coeff, exp in raw:
         e = exp if isinstance(exp, Fraction) else Fraction(exp)
@@ -252,12 +252,13 @@ def canonicalize(std: float, raw: Iterable[tuple]) -> FermatReal:
         n, d = e.numerator, e.denominator
         if n < 0:
             raise ValueError(f"potential exponent must be >= 0, got {e}")
-        if n == 0:
-            base.append(c)
-        elif n <= d:
+        if n <= d:
             kept.append((c, n, d))
     den = math.lcm(*[d for _, _, d in kept])
-    return _lattice(base, [(c, n * (den // d)) for c, n, d in kept], den)
+    buckets = {0: [float(std)]}
+    for c, n, d in kept:
+        buckets.setdefault(n * (den // d), []).append(c)
+    return _lattice(buckets, den)
 
 
 def _on(x: FermatReal, den: int) -> tuple:
@@ -266,36 +267,53 @@ def _on(x: FermatReal, den: int) -> tuple:
     return x.ks if s == 1 else tuple([k * s for k in x.ks])
 
 
-def _lattice(base: list, raw: Iterable[tuple], den: int) -> FermatReal:
-    """The canonical form of ``fsum(base) + sum(c * t**(k/den))`` over the
-    ``(c, k)`` in raw, each with ``0 < k <= den``.  Equal k merge in one
-    fsum, zero sums vanish, and den and the surviving k are divided by their
-    gcd (den 1 with no term).  A standard part or coefficient with no finite
-    binary64 value (fsum overflow, ``inf - inf``, NaN) is NonFiniteError."""
-    buckets: dict[int, list[float]] = {}
-    for c, k in raw:
-        buckets.setdefault(k, []).append(c)
-    ks, cs = [], []
-    k = 0
+def _lattice(buckets: dict, den: int) -> FermatReal:
+    """The canonical form of ``sum(fsum(buckets[k]) * t**(k/den))`` over the
+    buckets ``k -> [addends]``, each k in ``[0, den]``; bucket 0, the
+    standard part, may be empty.  Zero sums vanish, and den and the
+    surviving k are divided by their gcd (den 1 with no term)."""
+    sums = _sums(buckets, den)
+    std = sums.pop(0, 0.0)
+    ks = list(sums)
+    g = math.gcd(den, *ks)
+    if g > 1:
+        den //= g
+        ks = [k // g for k in ks]
+    return _make(std, den, tuple(ks), tuple(sums.values()))
+
+
+def _sums(buckets: dict, den: int) -> dict:
+    """``k -> fsum(buckets[k])`` by increasing k, for each nonzero sum; one
+    with no finite binary64 value (overflow, inf - inf, NaN) raises."""
+    sums = {}
     try:
-        std = math.fsum(base) + 0.0
-        if std != std:
-            raise ValueError
         for k in sorted(buckets):
             c = math.fsum(buckets[k])
             if c != c:
                 raise ValueError
             if c != 0.0:
-                ks.append(k)
-                cs.append(c)
+                sums[k] = c
     except (OverflowError, ValueError):
         what = f"coefficient of dt[{_format_order(den, k)}]" if k else "standard part"
         raise NonFiniteError(f"{what} has no finite binary64 value") from None
-    g = math.gcd(den, *ks)
-    if g > 1:
-        den //= g
-        ks = [k // g for k in ks]
-    return _make(std, den, tuple(ks), tuple(cs))
+    return sums
+
+
+def _convolve(buckets: dict, xs, ys, den: int) -> dict:
+    """Append each product of a term of xs and one of ys, ``(k, c)`` pairs,
+    to the bucket of its exponent, x outermost as mul always did; ys's k
+    increase, so a row ends at the first exponent past den."""
+    row = list(ys)
+    for i, a in xs:
+        for j, b in row:
+            k = i + j
+            if k > den:
+                break
+            if k in buckets:
+                buckets[k].append(a * b)
+            else:
+                buckets[k] = [a * b]
+    return buckets
 
 
 def dt(order: RationalLike) -> FermatReal:
@@ -316,7 +334,10 @@ def dt(order: RationalLike) -> FermatReal:
 def add(x, y) -> FermatReal:
     x, y = as_fermat(x), as_fermat(y)
     den = math.lcm(x.den, y.den)
-    return _lattice([x.std + y.std], zip(x.cs + y.cs, _on(x, den) + _on(y, den)), den)
+    buckets = {0: [x.std + y.std]}
+    for k, c in zip(_on(x, den) + _on(y, den), x.cs + y.cs):
+        buckets.setdefault(k, []).append(c)
+    return _lattice(buckets, den)
 
 
 def neg(x) -> FermatReal:
@@ -332,14 +353,12 @@ def mul(x, y) -> FermatReal:
     """Ring product; cross terms whose exponents sum above 1 vanish."""
     x, y = as_fermat(x), as_fermat(y)
     den = math.lcm(x.den, y.den)
-    kx, ky = list(zip(x.cs, _on(x, den))), list(zip(y.cs, _on(y, den)))
-    raw = []
-    if y.std != 0.0:
-        raw += [(c * y.std, k) for c, k in kx]
+    kx, ky = _on(x, den), _on(y, den)
+    buckets = {0: [x.std * y.std]} | {k: [c * y.std] for k, c in zip(kx, x.cs) if y.std != 0.0}
     if x.std != 0.0:
-        raw += [(c * x.std, k) for c, k in ky]
-    raw += [(cx * cy, i + j) for cx, i in kx for cy, j in ky if i + j <= den]
-    return _lattice([x.std * y.std], raw, den)
+        for k, c in zip(ky, y.cs):
+            buckets.setdefault(k, []).append(c * x.std)
+    return _lattice(_convolve(buckets, zip(kx, x.cs), zip(ky, y.cs), den), den)
 
 
 def _natural(n, what: str, least: int = 0) -> int:
@@ -373,30 +392,37 @@ def _poly(hs, entries) -> FermatReal:
     multi-index over the infinitesimals hs, c a thunk giving a float or a
     FermatReal.  On the lattice of ``_leading(hs)``, a monomial vanishes iff
     ``sum(q_k * kmin_k) > den`` (the product-of-powers theorem), and then c
-    is not called.  Powers of each h_k are built once; every float product
-    goes into one ``_lattice`` call, so each coefficient is one fsum, and the
+    is not called.  Powers of each h_k and monomials are ``{k: c}`` dicts
+    on that one lattice, made by mul's convolution and fsum per exponent,
+    so they equal mul's products bit for bit.  Every float product goes
+    into one set of buckets, so each coefficient is one fsum; the
     infinitesimal part of a FermatReal c is multiplied and added apart."""
     den, kmin = _leading(hs)
-    powers = [[ONE, h] for h in hs]
-    for table, h, k in zip(powers, hs, kmin):
+    unit, powers = {0: 1.0}, []
+    for h, k in zip(hs, kmin):
+        table = [unit, dict(zip(_on(h, den), h.cs))]
         while len(table) * k <= den:
-            table.append(mul(table[-1], h))
-    base, raw, rest = [], [], []
+            table.append(_sums(_convolve({}, table[-1].items(), table[1].items(), den), den))
+        powers.append(table)
+    buckets, rest = {}, []
     for q, coeff in entries:
-        if sum(i * k for i, k in zip(q, kmin)) > den:
+        if sum(map(operator.mul, q, kmin)) > den:
             continue
-        factors = [table[i] for table, i in zip(powers, q) if i]
-        mono = reduce(mul, factors) if factors else ONE
+        mono = unit
+        for table, i in zip(powers, q):
+            if i and mono is unit:
+                mono = table[i]
+            elif i:
+                mono = _sums(_convolve({}, mono.items(), table[i].items(), den), den)
         c = coeff()
         if isinstance(c, FermatReal):
             if c.ks:
-                part = _make(0.0, c.den, c.ks, c.cs)
-                rest.append(part if mono is ONE else mul(part, mono))
+                mono_value = _lattice({k: [ck] for k, ck in mono.items()}, den)
+                rest.append(mul(_make(0.0, c.den, c.ks, c.cs), mono_value))
             c = c.std
-        if mono is ONE:
-            base.append(c)
-        raw += [(c * ck, k) for ck, k in zip(mono.cs, _on(mono, den))]
-    return reduce(add, rest, _lattice(base, raw, den))
+        for k, ck in mono.items():
+            buckets.setdefault(k, []).append(c * ck)
+    return reduce(add, rest, _lattice(buckets, den))
 
 
 def _taylor(x: FermatReal, a: Callable[[int], float]) -> FermatReal:
@@ -419,7 +445,7 @@ def invert(x) -> FermatReal:
     x = as_fermat(x)
     if x.std == 0.0:
         raise NotInvertibleError("not invertible: standard part is 0")
-    u = _lattice([1.0], zip([c / x.std for c in x.cs], x.ks), x.den)
+    u = _lattice({0: [1.0]} | {k: [c / x.std] for k, c in zip(x.ks, x.cs)}, x.den)
     s = 1.0 / x.std
     return _taylor(u, lambda i: -s if i % 2 else s)
 
@@ -442,7 +468,8 @@ def iota(x, k) -> FermatReal:
     level = _as_level(k, "truncation level")
     # Order den/j > p/q, cross-multiplied; level inf is p/q = 1/0.
     p, q = (1, 0) if level == math.inf else (level.numerator, level.denominator)
-    return _lattice([x.std], [(c, j) for j, c in zip(x.ks, x.cs) if x.den * q > p * j], x.den)
+    kept = {j: [c] for j, c in zip(x.ks, x.cs) if x.den * q > p * j}
+    return _lattice({0: [x.std]} | kept, x.den)
 
 
 def eq_up_to(x, y, k) -> bool:

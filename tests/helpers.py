@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache, reduce
 
 from fermatreals import (
     FermatReal,
+    ONE,
     Term,
     ZERO,
     add,
@@ -295,6 +297,25 @@ def oracle_series(coeffs, x: FermatReal) -> dict[Fraction, tuple[Fraction, Fract
     return oracle_poly([h], [((k,), F(a)) for k, a in enumerate(coeffs)])
 
 
+def mul_poly(hs, entries) -> FermatReal:
+    """``sum(c * prod(h_k ** q_k))`` over float coefficients c, by the
+    public API: ``h**(i+1)`` is ``mul(h**i, h)``, a monomial is mul folded
+    over its powers left to right, and every product ``c * coeff`` goes into
+    one canonicalize.  The kernel must equal it bit for bit."""
+    tables = [[ONE, h] for h in hs]
+    raw = []
+    for q, c in entries:
+        for table, h, i in zip(tables, hs, q):
+            while len(table) <= i:
+                table.append(mul(table[-1], h))
+        factors = [table[i] for table, i in zip(tables, q) if i]
+        if not factors:
+            raw.append((c, 0))
+        else:
+            raw += [(c * t.coeff, t.exp) for t in reduce(mul, factors).terms]
+    return canonicalize(0.0, raw)
+
+
 def series_error(got: FermatReal, ref: dict) -> float:
     """Largest error of ``got`` against an :func:`oracle_poly` result, each
     exponent's error divided by its sum of absolute contributions."""
@@ -306,6 +327,48 @@ def series_error(got: FermatReal, ref: dict) -> float:
         if err:
             worst = max(worst, float(err / mag) if mag else math.inf)
     return worst
+
+
+# -- the Fraction forms of the exact derivative towers -----------------------
+#
+# calculus computes these towers on the integers of r.as_integer_ratio();
+# they must equal these Fraction forms bit for bit, exceptions included.
+
+@lru_cache(maxsize=None)
+def atan_poly(i: int) -> tuple[int, ...]:
+    """q_i over r with d^i atan = q_i(r) / (1 + r**2)**i for i >= 1:
+    q_1 = 1,  q_{i+1} = q_i' * (1 + r**2) - 2*i*r * q_i."""
+    if i == 1:
+        return (1,)
+    q = atan_poly(i - 1)
+    out = [0] * (len(q) + 1)
+    for k, c in enumerate(q[1:], start=1):
+        out[k - 1] += k * c
+        out[k + 1] += k * c
+    for k, c in enumerate(q):
+        out[k + 1] -= 2 * (i - 1) * c
+    return tuple(out)
+
+
+def fraction_atan_tower(r: float, i: int) -> float:
+    if i == 0:
+        return math.atan(r)
+    rq = Fraction(r)
+    num = sum(c * rq**k for k, c in enumerate(atan_poly(i)))
+    return float(Fraction(num) / (1 + rq * rq) ** i)
+
+
+def fraction_power_tower(c: Fraction, value, r: float, i: int) -> float:
+    p, q = c.numerator, c.denominator
+    exact = q == 1 and abs(p) <= 1024
+    if i == 0 and not exact:
+        return value(r)
+    falling = 1
+    for k in range(i):
+        falling *= p - k * q
+    if exact:
+        return float(falling * Fraction(r) ** (p - i))
+    return float(falling / (q * Fraction(r)) ** i) * value(r)
 
 
 def fd_central(f, x: float, step: float = 1e-5) -> float:

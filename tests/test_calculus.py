@@ -4,7 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction as F
-from functools import partial
+from functools import partial, reduce
 
 import pytest
 
@@ -36,7 +36,7 @@ from fermatreals import (
     taylor_multi,
 )
 from fermatreals import calculus
-from fermatreals.calculus import _atan_poly, _tan_poly
+from fermatreals.calculus import _tan_poly
 from fermatreals.errors import (
     DomainError,
     NonFiniteError,
@@ -88,7 +88,7 @@ def test_atan_tower_known_values():
         assert CATALOG["atan"].tower(0.0, n) == (-1) ** k * math.factorial(2 * k)
         if k:
             assert CATALOG["atan"].tower(0.0, 2 * k) == 0.0
-    assert len(_atan_poly(64)) == 64  # degree i - 1
+    assert len(helpers.atan_poly(64)) == 64  # degree i - 1
 
 
 def test_sqrt_and_pow_towers_match_falling_factorials():
@@ -106,6 +106,114 @@ def test_sqrt_and_pow_towers_match_falling_factorials():
         exact = [F(r) ** 2, 2 * F(r), F(2)] + [F(0)] * 62
         for i in range(65):
             assert square.tower(r, i) == float(exact[i])
+
+
+def _outcome(tower, r, i):
+    """A tower's value by its repr (so -0.0, nan and inf count), or the
+    kind of error it raised."""
+    try:
+        return repr(tower(r, i))
+    except (OverflowError, ValueError, ZeroDivisionError) as exc:
+        return next(kind for kind in (OverflowError, ValueError, ZeroDivisionError)
+                    if isinstance(exc, kind))
+
+
+def test_integer_towers_equal_their_fraction_forms():
+    # The towers run on the integers of r.as_integer_ratio(); bit for bit
+    # and error for error they are the Fraction forms, from the smallest
+    # subnormal to the largest float, negative r and 0, inf, nan included.
+    rng = random.Random(41)
+    rs = [5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-10, 0.3, 0.5, 1.0,
+          2.0, 1e10, 1e300, 1.7976931348623157e308, 0.0, math.inf, math.nan]
+    rs += [rng.uniform(0.01, 10.0) for _ in range(10)]
+    rs += [math.ldexp(rng.random(), rng.randint(-1074, 1023)) for _ in range(10)]
+    rs += [-r for r in rs]
+    recip_ref = partial(helpers.fraction_power_tower, F(-1), None)
+    towers = [
+        (CATALOG["atan"].tower, helpers.fraction_atan_tower),
+        (CATALOG["recip"].tower, recip_ref),
+        (CATALOG["ln"].tower, lambda r, i: math.log(r) if i == 0 else recip_ref(r, i - 1)),
+        (CATALOG["sqrt"].tower, partial(helpers.fraction_power_tower, F(1, 2), math.sqrt)),
+    ]
+    for c in (0.5, -1.0, 2.0, -3.0, 2.5, -0.75, 7.0, 1e20, 1 / 3):
+        ref = partial(helpers.fraction_power_tower, F(c), lambda r, e=c: r**e)
+        towers.append((pow_const(c).tower, ref))
+    for tower, ref in towers:
+        for r in rs:
+            for i in range(25):
+                assert _outcome(tower, r, i) == _outcome(ref, r, i), (tower, r, i)
+
+
+def test_kernel_equals_mul_and_one_canonicalize():
+    # The kernel builds powers and monomials as dicts on one lattice; they
+    # must equal powers by mul, monomials folded by mul and every product
+    # merged in one canonicalize, bit for bit.
+    rng = random.Random(42)
+    for _ in range(20):
+        params = rng.sample(_kernel_params(rng), rng.randint(2, 3))
+        entries = [(q, helpers.rand_coeff(rng)) for q in _kernel_entries(rng, params, 12)]
+        thunks = [(q, lambda c=c: c) for q, c in entries]
+        assert eval_param_poly(ParamPoly(params, thunks, 12)) == helpers.mul_poly(params, entries)
+    for _ in range(40):
+        h = reduce(add, rng.sample(_kernel_params(rng), 3))
+        x = add(rng.uniform(0.3, 1.2), h)
+        n = math.floor(order(h)) if h.ks else 0
+        for f in CATALOG.values():
+            coeffs = [float(F(f.tower(x.std, i)) / math.factorial(i)) for i in range(n + 1)]
+            want = helpers.mul_poly([h], [((i,), c) for i, c in enumerate(coeffs)])
+            assert ext_apply(f, x) == want, (f.name, x)
+        u = canonicalize(0.0, [(t.coeff / x.std, t.exp) for t in x.terms])
+        s = 1.0 / x.std
+        assert invert(x) == helpers.mul_poly([u], [((i,), -s if i % 2 else s) for i in range(n + 1)])
+
+
+def test_taylor_coefficients_past_a_binary64_derivative():
+    # From i = 171 on f_i(r) passes binary64 but f_i(r) / i! does not: the
+    # exact derivative is divided by i! before its one rounding.
+    x = add(1, dt(200))
+    got, want = ext_apply(CATALOG["recip"], x), invert(x)
+    assert got.ks == want.ks == tuple(range(1, 201))
+    # below 171 the tower value and the quotient each round, as before
+    assert all(abs(a - b) <= 2**-52 for a, b in zip(got.cs, want.cs))
+    assert got.cs[170:] == want.cs[170:]
+    half = F(1, 2)
+    exact = {
+        # at r = 1/2 the float sqrt(r) scales the exact part, (1/2)_i / r**i
+        "sqrt": (0.5, [math.prod([half - k for k in range(i)], start=F(1)) / math.factorial(i)
+                       * F(math.sqrt(0.5)) / half**i for i in range(201)]),
+        "ln": (1.0, [F(0)] + [F((-1) ** (i - 1), i) for i in range(1, 201)]),
+        "atan": (0.5, [F(math.atan(0.5))] + [
+            sum(c * half**k for k, c in enumerate(helpers.atan_poly(i)))
+            / (1 + half * half) ** i / math.factorial(i) for i in range(1, 201)]),
+    }
+    for name, (r, coeffs) in exact.items():
+        x = add(r, dt(200))
+        got = ext_apply(CATALOG[name], x)
+        assert len(got.ks) == 200, name
+        assert helpers.series_error(got, helpers.oracle_series(coeffs, x)) <= 1e-15, name
+
+
+def test_taylor_coefficients_past_320_factorial_skip_it(monkeypatch):
+    # 320! > 2**2200, so a finite tower value over i! >= 320! is a signed
+    # zero: the factorial is not formed, as it once was for every i.
+    calls = []
+    factorial = math.factorial
+    monkeypatch.setattr(math, "factorial", lambda n: calls.append(n) or factorial(n))
+    x = add(1, add(dt(2000), dt(3)))
+    got = ext_apply(CATALOG["exp"], x)
+    monkeypatch.undo()
+    assert max(calls) == 319
+    # from i = 178 on e / i! is below 2**-1075 anyway
+    coeffs = [float(F(math.e) / math.factorial(i)) for i in range(178)]
+    assert coeffs[-1] > 0.0 == float(F(math.e) / math.factorial(178))
+    assert got == helpers.mul_poly([sub(x, 1)], [((i,), c) for i, c in enumerate(coeffs)])
+    # below 320 the quotient is exact; the zero keeps the value's sign; an
+    # infinite value is still an error
+    assert calculus._taylor_coeff(1e308, (200,), "f", (0.0,)) == float(F(1e308) / math.factorial(200))
+    assert math.copysign(1.0, calculus._taylor_coeff(-1e308, (400,), "f", (0.0,))) == -1.0
+    assert math.copysign(1.0, calculus._taylor_coeff(0.0, (400,), "f", (0.0,))) == 1.0
+    with pytest.raises(NonFiniteError, match="f: Taylor coefficient 400 at 0 has"):
+        calculus._taylor_coeff(-math.inf, (400,), "f", (0.0,))
 
 
 # -- ext_apply ---------------------------------------------------------------

@@ -172,6 +172,16 @@ def test_taylor_sums_past_170_factorial(capsys):
     assert (code, err) == (0, "") and out.startswith("0.8414709848078965 + ")
 
 
+def test_taylor_coefficients_past_a_binary64_derivative(capsys):
+    # f_i(r) passes binary64 from i = 171 on, f_i(r) / i! does not: no
+    # "has no finite binary64 value" for these
+    for expr in ("sqrt(1+dt[200])", "recip(1+dt[200])", "ln(1+dt[200])", "atan(0.5+dt[200])"):
+        code, out, err = run(capsys, "eval", expr)
+        assert (code, err) == (0, ""), (expr, err)
+        assert out.count("dt[") == 200, expr
+    assert run(capsys, "eval", "recip(1+dt[200])")[1].endswith(" - dt[200/199] + dt[1]\n")
+
+
 def test_long_flat_chains_evaluate(capsys):
     n = 10_000
     assert run(capsys, "eval", "+".join(["1"] * n)) == (0, f"{n}\n", "")
