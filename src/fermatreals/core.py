@@ -18,7 +18,9 @@ Operations append float addends to buckets ``k -> [addends]`` (k = 0 is the
 standard part) and round each bucket once with ``math.fsum``; a sum with no
 finite binary64 value, NaN included, raises NonFiniteError.  One kernel,
 ``_poly``, serves :func:`invert`, every smooth extension and the polynomials
-of ``calculus``; its powers are ``{k: c}`` dicts on one lattice.
+of ``calculus``; its powers are ``{k: c}`` dicts on one lattice.  Two real
+operands of ``add``/``mul`` and a real argument of ``_taylor`` take a short
+cut, ``from_real`` of the one float, which is the general result bit for bit.
 
 Values are immutable; every operation is a pure function, so values can be
 shared freely across threads.
@@ -333,6 +335,8 @@ def dt(order: RationalLike) -> FermatReal:
 
 def add(x, y) -> FermatReal:
     x, y = as_fermat(x), as_fermat(y)
+    if not (x.ks or y.ks):
+        return from_real(x.std + y.std)
     den = math.lcm(x.den, y.den)
     buckets = {0: [x.std + y.std]}
     for k, c in zip(_on(x, den) + _on(y, den), x.cs + y.cs):
@@ -352,6 +356,8 @@ def sub(x, y) -> FermatReal:
 def mul(x, y) -> FermatReal:
     """Ring product; cross terms whose exponents sum above 1 vanish."""
     x, y = as_fermat(x), as_fermat(y)
+    if not (x.ks or y.ks):
+        return from_real(x.std * y.std)
     den = math.lcm(x.den, y.den)
     kx, ky = _on(x, den), _on(y, den)
     buckets = {0: [x.std * y.std]} | {k: [c * y.std] for k, c in zip(kx, x.cs) if y.std != 0.0}
@@ -429,7 +435,9 @@ def _taylor(x: FermatReal, a: Callable[[int], float]) -> FermatReal:
     """Taylor sum ``sum(a(i) * h**i)`` at x = r + h, with a(i) the i-th
     Taylor coefficient at r and i up to N = floor(order(h)): h**(N+1)
     vanishes, so the sum is exact.  The one-parameter case of ``_poly``."""
-    n = x.den // x.ks[0] if x.ks else 0
+    if not x.ks:
+        return from_real(a(0))
+    n = x.den // x.ks[0]
     entries = [((i,), partial(a, i)) for i in range(n + 1)]
     return _poly([_make(0.0, x.den, x.ks, x.cs)], entries)
 

@@ -14,16 +14,19 @@ Grammar (EBNF, also in the README):
 NUMBER is a decimal with optional fraction and exponent.  dt orders are
 exact rationals: ``dt[1.5]`` is sugar for ``dt[3/2]`` (decimals beyond 12
 significant digits are rejected to keep exponent rationals small).
+
+The parser reads tokens by index from parallel lists of kinds, texts and
+offsets.  The evaluator branches on the exact node type and calls
+``core.add`` and the like through the module, so rebinding them reaches it.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
-from . import calculus
+from . import calculus, core
 from .calculus import CATALOG, ext_apply
 from .core import FermatReal, as_fermat, dt, from_real
 from .errors import NonPositiveOrderError, ParseError, UnboundVariableError
@@ -33,21 +36,15 @@ _MAX_DEPTH = 100
 _FUNCTION_ARITY = {name: 1 for name in CATALOG}
 _FUNCTION_ARITY["pow"] = 2
 _FUNCTION_ARITY["log"] = 2
-_ARITHMETIC = {"+": operator.add, "-": operator.sub,
-               "*": operator.mul, "/": operator.truediv}
+_ARITHMETIC = {"+": lambda x, y: core.add(x, y), "-": lambda x, y: core.sub(x, y),
+               "*": lambda x, y: core.mul(x, y), "/": lambda x, y: core.mul(x, core.invert(y))}
 
 
 class Expr:
-    """Base class for expression nodes: immutable, and built, compared,
-    hashed and shown by the fields its subclass names in ``__slots__``."""
+    """Base class for expression nodes: immutable, and compared, hashed and shown
+    by the fields its subclass names in ``__slots__`` and sets in ``__init__``."""
 
     __slots__ = ()
-
-    def __init__(self, *values):
-        if len(values) != len(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"expression nodes are immutable: cannot change {name!r}")
@@ -72,102 +69,114 @@ class Expr:
         return f"{type(self).__name__}({fields})"
 
 
+_set = object.__setattr__
+
+
 class Lit(Expr):
-    __slots__ = ("value",)  # float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        _set(self, "value", value)
 
 
 class DtLit(Expr):
-    __slots__ = ("order",)  # Fraction
+    __slots__ = ("order",)
+
+    def __init__(self, order: Fraction):
+        _set(self, "order", order)
 
 
 class Var(Expr):
-    __slots__ = ("name",)  # str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
 class Unary(Expr):
-    __slots__ = ("op", "operand")  # str, Expr
+    __slots__ = ("op", "operand")
+
+    def __init__(self, op: str, operand: Expr):
+        _set(self, "op", op)
+        _set(self, "operand", operand)
 
 
 class Binary(Expr):
-    __slots__ = ("op", "left", "right")  # str, Expr, Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 class Call(Expr):
-    __slots__ = ("name", "args")  # str, tuple[Expr, ...]
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple):
+        _set(self, "name", name)
+        _set(self, "args", args)
 
 
-class _Token(NamedTuple):
-    kind: str  # "number" | "name" | "op" | "eof"
-    text: str
-    pos: int
-
-
+# A token and the whitespace before it; no two kinds share a first character.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<number>(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?)
+    r"""\s*(?:
+        (?P<op>[-+*/^()\[\],])
       | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<op>[-+*/^()\[\],])
-    """,
+      | (?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)
+      | (?P<bad>\S)
+    )""",
     re.VERBOSE,
 )
 
 
-def _tokenize(text: str) -> list[_Token]:
-    toks = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(pos, "a token", repr(text[pos]))
-        if m.lastgroup != "ws":
-            toks.append(_Token(m.lastgroup, m.group(), pos))
-        pos = m.end()
-    toks.append(_Token("eof", "", len(text)))
-    return toks
+def _tokenize(text: str) -> tuple[list, list, list]:
+    """Parallel lists of token kinds ("number", "name", "op"), texts and
+    offsets, ended by an "eof" token with text "" at ``len(text)``."""
+    kinds, texts, offsets = [], [], []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(m.start(kind), "a token", repr(m[kind]))
+        kinds.append(kind)
+        texts.append(m[kind])
+        offsets.append(m.start(kind))
+    kinds.append("eof")
+    texts.append("")
+    offsets.append(len(text))
+    return kinds, texts, offsets
 
 
 class _Parser:
+    """Recursive descent over the token lists; ``i`` indexes the next token.
+    An op is known by its text: no number, name or "eof" text "" equals one."""
+
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.kinds, self.texts, self.offsets = _tokenize(text)
         self.i = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.toks[self.i]
+    def fail(self, i: int, expected: str):
+        found = "end of input" if self.kinds[i] == "eof" else repr(self.texts[i])
+        raise ParseError(self.offsets[i], expected, found)
 
-    def advance(self) -> _Token:
-        tok = self.toks[self.i]
+    def expect(self, symbol: str):
+        if self.texts[self.i] != symbol:
+            self.fail(self.i, repr(symbol))
         self.i += 1
-        return tok
-
-    def _found(self, tok: _Token) -> str:
-        return "end of input" if tok.kind == "eof" else repr(tok.text)
-
-    def fail(self, tok: _Token, expected: str):
-        raise ParseError(tok.pos, expected, self._found(tok))
-
-    def expect_op(self, symbol: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != symbol:
-            self.fail(tok, repr(symbol))
-        return self.advance()
-
-    def at_op(self, *symbols: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text in symbols
 
     # expression = term { (+|-) term }
     def expression(self) -> Expr:
         node = self.term()
-        while self.at_op("+", "-"):
-            op = self.advance().text
+        while (op := self.texts[self.i]) in ("+", "-"):
+            self.i += 1
             node = Binary(op, node, self.term())
         return node
 
     def term(self) -> Expr:
         node = self.factor()
-        while self.at_op("*", "/"):
-            op = self.advance().text
+        while (op := self.texts[self.i]) in ("*", "/"):
+            self.i += 1
             node = Binary(op, node, self.factor())
         return node
 
@@ -175,9 +184,9 @@ class _Parser:
     def factor(self) -> Expr:
         self.depth += 1
         if self.depth > _MAX_DEPTH:
-            self.fail(self.peek(), "a shallower expression")
-        if self.at_op("-"):
-            self.advance()
+            self.fail(self.i, "a shallower expression")
+        if self.texts[self.i] == "-":
+            self.i += 1
             node = Unary("-", self.factor())
         else:
             node = self.power()
@@ -186,84 +195,87 @@ class _Parser:
 
     def power(self) -> Expr:
         node = self.atom()
-        if self.at_op("^"):
-            self.advance()
+        if self.texts[self.i] == "^":
+            self.i += 1
             node = Binary("^", node, self.factor())
         return node
 
     def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            return Lit(float(tok.text))
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
+        i = self.i
+        kind, text = self.kinds[i], self.texts[i]
+        if kind == "number":
+            self.i = i + 1
+            return Lit(float(text))
+        if text == "(":
+            self.i = i + 1
             node = self.expression()
-            self.expect_op(")")
+            self.expect(")")
             return node
-        if tok.kind == "name":
-            if tok.text == "dt":
+        if kind == "name":
+            if text == "dt":
                 return self.dt_literal()
-            self.advance()
-            if self.at_op("("):
-                return self.call(tok)
-            return Var(tok.text)
-        self.fail(tok, "a number, dt literal, name, or '('")
+            self.i = i + 1
+            if self.texts[i + 1] == "(":
+                return self.call(i)
+            return Var(text)
+        self.fail(i, "a number, dt literal, name, or '('")
 
-    def call(self, name_tok: _Token) -> Expr:
-        arity = _FUNCTION_ARITY.get(name_tok.text)
+    def call(self, at: int) -> Expr:  # token at is the name, the next one "("
+        name = self.texts[at]
+        arity = _FUNCTION_ARITY.get(name)
         if arity is None:
-            self.fail(name_tok, "a known function name")
-        self.expect_op("(")
+            self.fail(at, "a known function name")
+        self.i += 1
         args = [self.expression()]
-        while self.at_op(","):
-            self.advance()
+        while self.texts[self.i] == ",":
+            self.i += 1
             args.append(self.expression())
-        closing = self.peek()
-        self.expect_op(")")
+        closing = self.i
+        self.expect(")")
         if len(args) != arity:
             raise ParseError(
-                closing.pos,
-                f"{arity} argument{'s' if arity != 1 else ''} to {name_tok.text}",
+                self.offsets[closing],
+                f"{arity} argument{'s' if arity != 1 else ''} to {name}",
                 f"{len(args)}",
             )
-        return Call(name_tok.text, tuple(args))
+        return Call(name, tuple(args))
 
     def dt_literal(self) -> Expr:
-        self.advance()  # the 'dt' name
-        self.expect_op("[")
-        negative = False
-        if self.at_op("-"):
-            self.advance()
-            negative = True
-        num = self.peek()
-        if num.kind != "number":
+        texts = self.texts
+        self.i += 1  # the 'dt' name
+        self.expect("[")
+        negative = texts[self.i] == "-"
+        if negative:
+            self.i += 1
+        num = self.i
+        if self.kinds[num] != "number":
             self.fail(num, "a dt order")
-        self.advance()
-        if self.at_op("/"):
-            if "." in num.text or "e" in num.text or "E" in num.text:
+        text = texts[num]
+        self.i += 1
+        if texts[self.i] == "/":
+            if "." in text or "e" in text or "E" in text:
                 self.fail(num, "an integer numerator")
-            self.advance()
-            den = self.peek()
-            if den.kind != "number" or not den.text.isdigit():
+            self.i += 1
+            den = self.i
+            if not texts[den].isdigit():  # no name, op or "" is all digits
                 self.fail(den, "an integer denominator")
-            self.advance()
-            if int(den.text) == 0:
+            self.i += 1
+            if int(texts[den]) == 0:
                 self.fail(den, "a nonzero denominator")
-            q = Fraction(int(num.text), int(den.text))
+            q = Fraction(int(text), int(texts[den]))
         else:
-            if "." in num.text or "e" in num.text or "E" in num.text:
-                digits = num.text.split("e")[0].split("E")[0].replace(".", "")
+            if "." in text or "e" in text or "E" in text:
+                digits = text.split("e")[0].split("E")[0].replace(".", "")
                 if len(digits.lstrip("0")) > 12:
                     self.fail(num, "a dt order with at most 12 significant digits")
-            q = Fraction(num.text)
-        self.expect_op("]")
+            q = Fraction(text)
+        self.expect("]")
         if negative:
             q = -q
         if q <= 0:
+            pos = self.offsets[num]
             raise NonPositiveOrderError(
-                f"dt order must be positive, got {q} (offset {num.pos})",
-                position=num.pos,
+                f"dt order must be positive, got {q} (offset {pos})", position=pos
             )
         return DtLit(q)
 
@@ -272,9 +284,8 @@ def parse(text: str) -> Expr:
     """Parse expression text, raising ParseError with the offending offset."""
     p = _Parser(text)
     node = p.expression()
-    tail = p.peek()
-    if tail.kind != "eof":
-        p.fail(tail, "end of input")
+    if p.kinds[p.i] != "eof":
+        p.fail(p.i, "end of input")
     return node
 
 
@@ -300,18 +311,8 @@ def evaluate(e: Expr, env: Mapping[str, FermatReal] | None = None) -> FermatReal
 
 
 def _eval(e: Expr, env: Mapping[str, FermatReal]) -> FermatReal:
-    if isinstance(e, Lit):
-        return from_real(e.value)
-    if isinstance(e, DtLit):
-        return dt(e.order)
-    if isinstance(e, Var):
-        try:
-            return as_fermat(env[e.name])
-        except KeyError:
-            raise UnboundVariableError(e.name) from None
-    if isinstance(e, Unary):
-        return -_eval(e.operand, env)
-    if isinstance(e, Binary):
+    kind = type(e)
+    if kind is Binary:
         if e.op == "^":
             base = _eval(e.left, env)
             n = _literal_int(e.right)
@@ -322,14 +323,25 @@ def _eval(e: Expr, env: Mapping[str, FermatReal]) -> FermatReal:
         # long, so walk its left spine in a loop; operands still evaluate
         # left to right.
         spine = []
-        while isinstance(e, Binary) and e.op in _ARITHMETIC:
+        while type(e) is Binary and e.op in _ARITHMETIC:
             spine.append(e)
             e = e.left
         acc = _eval(e, env)
         for node in reversed(spine):
             acc = _ARITHMETIC[node.op](acc, _eval(node.right, env))
         return acc
-    if isinstance(e, Call):
+    if kind is Lit:
+        return from_real(e.value)
+    if kind is Var:
+        try:
+            return as_fermat(env[e.name])
+        except KeyError:
+            raise UnboundVariableError(e.name) from None
+    if kind is DtLit:
+        return dt(e.order)
+    if kind is Unary:
+        return core.neg(_eval(e.operand, env))
+    if kind is Call:
         args = [_eval(a, env) for a in e.args]
         if e.name == "pow":
             return calculus.power(args[0], args[1])

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fermatreals import cli
 from fermatreals.cli import main
@@ -189,6 +192,35 @@ def test_long_flat_chains_evaluate(capsys):
     # diff reads the free variables of the chain too
     assert run(capsys, "diff", "+".join(["x"] * n), "--at", "0") == (0, f"{n}\n", "")
 
+
+
+# Tokens joined by spaces, so digits never run together: every dt order
+# stays at most 3 and no evaluation runs long.
+FUZZ_TOKENS = (
+    "0", "1", "2.5", "0.5", "\u0661", "1e", "..", "x", "dt", "dt[3]", "dt[3/2]",
+    "dt[0]", "dt[", "dt[1/0]", "dt[-2]", "sin", "exp", "ln", "sqrt", "recip", "tan",
+    "pow", "log", "foo", "+", "-", "*", "/", "^", "(", ")", ",", "[", "]", "$", "\u00e9",
+)
+fuzz_text = st.lists(st.sampled_from(FUZZ_TOKENS), max_size=24).map(" ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    argv=st.one_of(
+        st.tuples(st.just("eval"), fuzz_text),
+        st.tuples(st.just("order"), fuzz_text),
+        st.tuples(st.just("cmp"), fuzz_text, fuzz_text),
+    ),
+    bind=st.sampled_from([[], ["-b", "x=1+dt[2]"], ["-b", "x=0"]]),
+)
+def test_fuzzed_expressions_exit_with_a_documented_code(argv, bind):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([argv[0], *bind, "--", *argv[1:]])
+    stderr = err.getvalue()
+    assert code in (0, 2, 3, 4), (argv, code)
+    assert "Traceback" not in stderr and "internal error" not in stderr, (argv, stderr)
+    assert (code == 0) == (stderr == "") == (out.getvalue() != ""), (argv, code)
 
 
 def test_unexpected_error_is_one_line_exit_3(capsys, monkeypatch):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +34,7 @@ from fermatreals import (
     sub,
     taylor_multi,
 )
+from fermatreals import calculus, core
 from fermatreals.errors import NonFiniteError, NonPositiveOrderError, NotInvertibleError
 
 import helpers
@@ -344,6 +347,48 @@ def test_invert_round_trip():
     for _ in range(10_000):
         x = helpers.rand_invertible(rng)
         helpers.assert_fermat_close(mul(x, invert(x)), ONE, tol=1e-12)
+
+
+def _outcome(fn):
+    """The value's lattice with the sign of its standard part, or the type
+    and message of what it raised."""
+    try:
+        v = fn()
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    return v.std, math.copysign(1.0, v.std), v.den, v.ks, v.cs
+
+
+def test_real_operands_give_the_general_kernels_bits(monkeypatch):
+    # -0.0 survives as a standard part only when built by _make
+    reals = [core._make(r, 1, (), ())
+             for r in (0.0, -0.0, 5e-324, 1e-300, -1e-300, 1.0, 1e308, math.inf, -math.inf)]
+    for x, y in itertools.product(reals, repeat=2):
+        assert _outcome(lambda: add(x, y)) == _outcome(
+            lambda: core._lattice({0: [x.std + y.std]}, 1)), (x.std, y.std)
+        assert _outcome(lambda: mul(x, y)) == _outcome(
+            lambda: core._lattice({0: [x.std * y.std]}, 1)), (x.std, y.std)
+    # invert and ext_apply hand the Taylor kernel their coefficients a(i);
+    # the general kernel gets the same a(0) as its one entry
+    seen = []
+    taylor = core._taylor
+
+    def spy(x, a):
+        seen.append(a)
+        return taylor(x, a)
+
+    monkeypatch.setattr(core, "_taylor", spy)
+    monkeypatch.setattr(calculus, "_taylor", spy)
+    fns = [invert] + [partial(ext_apply, f) for f in CATALOG.values()]
+    for fn, x in itertools.product(fns, reals):
+        seen.clear()
+        fast = _outcome(lambda: fn(x))
+        if seen:  # not refused before the kernel (domain, zero to invert)
+            (a,) = seen
+            assert fast == _outcome(lambda: core._poly([ZERO], [((0,), partial(a, 0))])), (fn, x)
+    assert invert(from_real(math.inf)) == ZERO
+    with pytest.raises(NonFiniteError, match="^exp: Taylor coefficient 0 at 1000 has no finite"):
+        ext_apply(CATALOG["exp"], from_real(1000.0))
 
 
 # -- iota / eq / standard part ----------------------------------------------

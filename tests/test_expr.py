@@ -51,19 +51,43 @@ def test_parse_unterminated_dt_reports_offset_3():
 
 
 def test_parse_error_positions_point_at_first_bad_byte():
+    # (position, expected, found) of each ParseError, as the parser has
+    # always reported them
+    shape = "a number, dt literal, name, or '('"
     cases = {
-        "1 + ": 4,
-        "(1+2": 4,
-        "sin 2": 4,  # name not followed by '(' is a variable; '2' is stray
-        "1 ? 2": 2,
-        "dt[abc]": 3,
-        "foo(2)": 0,
-        "sin(1,2)": 7,
+        "1 + ": (4, shape, "end of input"),
+        "1 +   ": (6, shape, "end of input"),
+        "(1+2": (4, "')'", "end of input"),
+        "((1": (3, "')'", "end of input"),
+        "1)": (1, "end of input", "')'"),
+        "sin 2": (4, "end of input", "'2'"),  # a name not followed by '(' is a variable
+        "1 ? 2": (2, "a token", "'?'"),
+        "1 $ 2": (2, "a token", "'$'"),
+        "x é": (2, "a token", "'é'"),
+        "dt[abc]": (3, "a dt order", "'abc'"),
+        "dt[": (3, "a dt order", "end of input"),
+        "dt[1/0]": (5, "a nonzero denominator", "'0'"),
+        "dt[1.5/2]": (3, "an integer numerator", "'1.5'"),
+        "dt[3/x]": (5, "an integer denominator", "'x'"),
+        "dt[1/": (5, "an integer denominator", "end of input"),
+        "dt[1.0000000000001]": (3, "a dt order with at most 12 significant digits",
+                                "'1.0000000000001'"),
+        "foo(2)": (0, "a known function name", "'foo'"),
+        "sin(1,2)": (7, "1 argument to sin", "2"),
+        "pow(1)": (5, "2 arguments to pow", "1"),
+        "1..2": (2, "end of input", "'.2'"),
+        "-" * 101 + "1": (100, "a shallower expression", "'-'"),
     }
-    for text, offset in cases.items():
+    for text, triple in cases.items():
         with pytest.raises(ParseError) as err:
             parse(text)
-        assert err.value.position == offset, text
+        assert (err.value.position, err.value.expected, err.value.found) == triple, text
+    with pytest.raises(NonPositiveOrderError) as err:
+        parse("dt[-0]")
+    assert err.value.position == 4
+    assert str(err.value) == "dt order must be positive, got 0 (offset 4)"
+    # NUMBER's digits are Unicode decimal digits, as Python's float() reads them
+    assert parse("\u0661+1") == Binary("+", Lit(1.0), Lit(1.0))
 
 
 def test_parse_dt_rational_and_decimal_sugar():
@@ -107,6 +131,9 @@ def test_nodes_compare_hash_and_show_by_type_and_fields():
         assert a is not b and a == b and hash(a) == hash(b)
         assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
     assert repr(parse("2^3")) == "Binary(op='^', left=Lit(value=2.0), right=Lit(value=3.0))"
+    for build in (lambda: Lit(), lambda: Lit(1.0, 2.0), lambda: Binary("+", Lit(1.0))):
+        with pytest.raises(TypeError):
+            build()
     node = parse("sin(x)*2")
     for n in (node, node.left, node.right, node.left.args[0], parse("-dt[2]")):
         for name in n.__slots__ + ("extra",):
@@ -141,6 +168,19 @@ def test_eval_examples():
 def test_eval_unbound_variable():
     with pytest.raises(UnboundVariableError):
         evaluate(parse("x + 1"))
+
+
+def test_eval_rejects_what_is_not_a_node():
+    for thing in (object(), ("+", 1, 2)):
+        with pytest.raises(TypeError, match="not an expression node"):
+            evaluate(thing)
+
+
+def test_eval_long_flat_chains_without_recursion():
+    n = 100_000
+    alternating = "".join("-+"[i % 2] + "1" for i in range(n - 1))
+    assert evaluate(parse("1" + alternating)) == from_real(0.0)
+    assert evaluate(parse("*".join(["x"] * n)), {"x": from_real(1.0)}) == from_real(1.0)
 
 
 def test_eval_negative_integer_literal_powers_skip_positivity():
