@@ -3,15 +3,11 @@
 Extending a smooth function f to an argument x = r + h (r real, h the
 infinitesimal part) is a *finite* Taylor sum
 
-    f(r) + sum_{i=1..N} f_i(r)/i! * h**i,      N = floor(order(h)),
+    sum_{i=0..N} a_i * h**i,      a_i = f_i(r)/i!,  N = floor(order(h)),
 
-exact because h**(N+1) vanishes.  Each catalog function carries a
-derivative tower giving f_i(r) in closed form (cycles for sin/cos, an
-integer-polynomial recurrence for tan), so high-order coefficients never
-accumulate error from nested differentiation.  The towers of atan and of
-sqrt, recip, pow_const and ln (one falling-factorial tower) are exact on
-the integers n, d of r = n/d and round once, as one int / int division; a
-derivative past binary64 is divided by i! before that rounding.
+exact because h**(N+1) vanishes.  Each catalog function streams its a_i as
+exact integer pairs (p, q), each from the last by an integer recurrence, and
+each is rounded once: correctly, even where f_i(r) itself is past binary64.
 
 Also here: the first-derivative extractor built on square-zero
 increments, powers and logarithms with positive invertible bases, and
@@ -23,10 +19,11 @@ prunes vanishing monomials with the exact product-of-powers test.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache, partial
-from typing import Callable, NamedTuple, Sequence
+from functools import partial
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .core import (
     FermatReal,
@@ -53,107 +50,85 @@ from .order import in_ideal
 
 _DT1 = dt(1)
 
-
-# -- derivative towers --------------------------------------------------
-
-def _exp_tower(r: float, i: int) -> float:
-    return math.exp(r)
+Pairs = Iterator[tuple[int, int]]
 
 
-_SIN_CYCLE = (
-    math.sin,
-    math.cos,
-    lambda r: -math.sin(r),
-    lambda r: -math.cos(r),
-)
+# -- Taylor-coefficient streams: a_i = p / q exactly, in order ------------
+
+def _cycle_tower(cycle, r: float) -> Pairs:
+    """(p, q * i!) for derivatives f_i(r) = p / q that repeat ``cycle(r)``; i!
+    stops growing past 2**2200, where p / q over either is the same signed 0."""
+    scale = 1
+    for i, v in enumerate(itertools.cycle(cycle(r)), 1):
+        p, q = v.as_integer_ratio()
+        yield p, q * scale
+        if scale.bit_length() <= 2200:
+            scale *= i
 
 
-def _sin_tower(r: float, i: int) -> float:
-    return _SIN_CYCLE[i % 4](r)
+_exp_tower = partial(_cycle_tower, lambda r: (math.exp(r),))
+_sin_tower = partial(_cycle_tower,
+                     lambda r: (math.sin(r), math.cos(r), -math.sin(r), -math.cos(r)))
+_cos_tower = partial(_cycle_tower,
+                     lambda r: (math.cos(r), -math.sin(r), -math.cos(r), math.sin(r)))
 
 
-def _cos_tower(r: float, i: int) -> float:
-    return _SIN_CYCLE[(i + 1) % 4](r)
+def _tan_tower(r: float) -> Pairs:
+    """With tan(r) = n/d, a_k = A_k / (k! * d**(k+1)): A_0 = n, A_1 = n*n + d*d
+    from tan' = 1 + tan**2, whose Cauchy product gives the integers
+    A_{k+1} = sum_j C(k, j) * A_j * A_{k-j}."""
+    n, d = math.tan(r).as_integer_ratio()
+    A, q = [n, n * n + d * d], d
+    for k in itertools.count(1):
+        yield A[k - 1], q
+        q *= k * d
+        A.append(sum(math.comb(k, j) * A[j] * A[k - j] for j in range(k + 1)))
 
 
-def _poly_eval(p: tuple[int, ...], u: float) -> float:
-    acc = 0.0
-    for c in reversed(p):
-        acc = acc * u + c
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _tan_poly(i: int) -> tuple[int, ...]:
-    # p_i over u = tan(r) with d^i tan = p_i(u):  p_0 = u,
-    # p_{i+1} = p_i' * (1 + u**2).  Integer coefficients, exact.
-    if i == 0:
-        return (0, 1)
-    dp = tuple(k * c for k, c in enumerate(_tan_poly(i - 1)))[1:]
-    out = [0] * (len(dp) + 2)
-    for k, c in enumerate(dp):
-        out[k] += c
-        out[k + 2] += c
-    return tuple(out)
-
-
-def _tan_tower(r: float, i: int) -> float:
-    return _poly_eval(_tan_poly(i), math.tan(r))
-
-
-class _Huge(OverflowError):
-    """A tower value past binary64, as the ``(n, d, scale)`` of _exact."""
-
-
-def _exact(n: int, d: int, scale=None) -> float:
-    """n / d rounded once, times ``scale()`` if given; CPython rounds an
-    int / int true division correctly, as ``float(Fraction(n, d))`` does."""
-    if d < 0:
-        n, d = -n, -d
-    try:
-        ratio = n / d
-    except OverflowError:
-        raise _Huge(n, d, scale) from None
-    return ratio * scale() if scale else ratio
-
-
-def _atan_tower(r: float, i: int) -> float:
-    """With r = n/d, atan's i-th derivative is
-    ``(-1)**(i-1) * (i-1)! * Im((n + d*1j)**i) * d**i / (n*n + d*d)**i``."""
-    if i == 0:
-        return math.atan(r)
+def _atan_tower(r: float) -> Pairs:
+    """atan' = Im(1 / (r - 1j)), so a_i = Im((-1)**(i-1) / (r - 1j)**i) / i
+    for i >= 1, and 1 / (r - 1j) = d * (n + d*1j) / (n*n + d*d) at r = n/d:
+    one Gaussian-integer step per i, with d**i (d a power of two) a shift."""
+    yield math.atan(r).as_integer_ratio()
     n, d = r.as_integer_ratio()
-    re, im = 1, 0
-    for _ in range(i):
-        re, im = re * n - im * d, re * d + im * n
-    return _exact((-1) ** (i - 1) * math.factorial(i - 1) * im * d**i, (n * n + d * d) ** i)
+    m, k = n * n + d * d, d.bit_length() - 1
+    re, im, q = -1, 0, 1
+    for i in itertools.count(1):
+        re, im, q = im * d - re * n, -re * d - im * n, q * m
+        yield im << k * i, i * q
 
 
-def _power_tower(c: Fraction, value, r: float, i: int) -> float:
-    """Derivative tower of r**c: ``(c)_i * r**(c-i)``, the falling factorial
-    ``(c)_i`` exact.  An integer |c| <= 1024 rounds the whole product once
-    (past that, powers of r run to megabits); otherwise ``(c)_i / r**i`` is
-    rounded once and scaled by ``value(r)``, the float r**c, which for sqrt
-    is math.sqrt, since ``r**0.5`` is not always ``sqrt(r)``.
-    """
+def _power_tower(c: Fraction, value, r: float) -> Pairs:
+    """r**c by a_{i+1} = a_i * (c - i) / ((i + 1) * r) on the integers of
+    r = n/d, from the exact r**c for an integer |c| <= 1024 (past that,
+    powers of r run to megabits), with a_i = C(c, i) * r**(c-i) for i < c so
+    that r = 0 divides nothing there; else from ``value(r)``, which for sqrt
+    is math.sqrt, since ``r**0.5`` is not always sqrt(r)."""
     p, q = c.numerator, c.denominator
     exact = q == 1 and abs(p) <= 1024
-    if i == 0 and not exact:
-        return value(r)
-    falling = math.prod(range(p, p - i * q, -q))
+    if exact:
+        n, d = r.as_integer_ratio()
+        for i in range(p):
+            yield math.comb(p, i) * n ** (p - i), d ** (p - i)
+        a, b = (1, 1) if p >= 0 else (d**-p, n**-p)
+    else:
+        a, b = value(r).as_integer_ratio()
+    yield a, b
     n, d = r.as_integer_ratio()
-    if not exact:
-        return _exact(falling * d**i, (q * n) ** i, partial(value, r))
-    e = p - i
-    return _exact(falling * n**e, d**e) if e >= 0 else _exact(falling * d**-e, n**-e)
+    n, d = abs(n), -d if n < 0 else d  # b keeps its sign: a zero a_i stays 0.0
+    for i in itertools.count(max(p, 0) if exact else 0):
+        a, b = a * (p - i * q) * d, b * (i + 1) * q * n
+        yield a, b
 
 
 _sqrt_tower = partial(_power_tower, Fraction(1, 2), math.sqrt)
 _recip_tower = partial(_power_tower, Fraction(-1), None)
 
 
-def _ln_tower(r: float, i: int) -> float:
-    return math.log(r) if i == 0 else _recip_tower(r, i - 1)
+def _ln_tower(r: float) -> Pairs:
+    yield math.log(r).as_integer_ratio()
+    for i, (a, b) in enumerate(_recip_tower(r), 1):
+        yield a, b * i
 
 
 def _any_real(r: float) -> bool:
@@ -173,20 +148,20 @@ def _cos_nonzero(r: float) -> bool:
 
 
 class ElementaryFn(NamedTuple):
-    """A smooth function with a closed-form derivative tower.
-
-    ``tower(r, i)`` is the i-th derivative at the real point r (i = 0 is
-    the value itself); ``domain`` checks the standard part of an
-    argument before extension.
-    """
+    """A smooth function with an exact Taylor-coefficient stream: ``tower(r)``
+    lazily yields a_i = f_i(r) / i! at the real point r, i = 0 first, as
+    integer pairs (p, q) with a_i = p / q exactly, given the float f(r) where
+    f is transcendental (or, where a_i rounds to a signed zero, a pair that
+    rounds to it).  ``domain`` checks an argument's standard part."""
 
     name: str
-    tower: Callable[[float, int], float]
+    tower: Callable[[float], Pairs]
     domain: Callable[[float], bool]
     domain_desc: str
 
     def value(self, r: float) -> float:
-        return self.tower(r, 0)
+        p, q = next(self.tower(r))
+        return p / q
 
 
 EXP = ElementaryFn("exp", _exp_tower, _any_real, "any real")
@@ -204,58 +179,52 @@ CATALOG = {f.name: f for f in (EXP, LN, SIN, COS, TAN, ATAN, SQRT, RECIP)}
 def pow_const(c: float) -> ElementaryFn:
     """Power function with a fixed real exponent, on positive bases."""
     e = float(c)
-    tower = partial(_power_tower, Fraction(e), lambda r: r**e)
+    tower = partial(_power_tower, Fraction(e), lambda r: math.pow(r, e))
     return ElementaryFn(f"pow[{c}]", tower, _positive, "standard part > 0")
 
 
+def _non_finite(name: str, js, at) -> NonFiniteError:
+    index, point = ",".join(map(str, js)), ", ".join(f"{v:g}" for v in at)
+    return NonFiniteError(f"{name}: Taylor coefficient {index} at {point} "
+                          "has no finite binary64 value")
+
+
 def _taylor_coeff(value, js, name: str, at) -> float:
-    """value / prod(j! for j in js), the exact quotient rounded once, for
-    any js; value is a float or a tower's _Huge.  An infinite or NaN value,
-    or a quotient past binary64, raises NonFiniteError naming the function,
-    the multi-index and the point."""
-    if not isinstance(value, _Huge):
-        value = float(value)
+    """value / prod(j! for j in js) rounded once; inf or NaN raises NonFiniteError."""
     try:
-        if isinstance(value, float):
-            p, q = value.as_integer_ratio()
-            if max(js, default=0) >= 320:  # 320! > 2**2200: below 2**-1075
-                return math.copysign(0.0, p)
-            return p / (q * math.prod(map(math.factorial, js)))
-        p, q, scale = value.args
-        c = p / (q * math.prod(map(math.factorial, js))) * (scale() if scale else 1.0)
-        if math.isinf(c):
-            raise OverflowError
-        return c
+        p, q = float(value).as_integer_ratio()
     except (OverflowError, ValueError):
-        index, point = ",".join(map(str, js)), ", ".join(f"{v:g}" for v in at)
-        raise NonFiniteError(f"{name}: Taylor coefficient {index} at {point} "
-                             "has no finite binary64 value") from None
+        raise _non_finite(name, js, at) from None
+    return p / (q * math.prod(map(math.factorial, js)))
+
+
+def _coefficients(f: ElementaryFn, r: float) -> Iterator[float]:
+    """f's Taylor coefficients at r, rounded once; an overflow raises NonFiniteError."""
+    i = 0
+    try:
+        for p, q in f.tower(r):
+            yield p / q
+            i += 1
+    except OverflowError:
+        raise _non_finite(f.name, (i,), (r,)) from None
 
 
 def ext_apply(f: ElementaryFn, x) -> FermatReal:
     """Extend f to a Fermat-real argument by exact Taylor truncation.
 
-    Runs core's Taylor kernel, the one ``invert`` uses, with coefficients
-    f_i(r) / i! from the tower; the sum stops at floor(order(h)) and on a
-    plain real is just f itself.  Domain membership is checked on the
-    standard part only: infinitesimal perturbations never leave the domain.
-    sin, cos and tan have no value at an infinite standard part: that is
-    NonFiniteError, as is a tower value past binary64.
-    """
+    Runs core's Taylor kernel, the one ``invert`` uses, on f's coefficient
+    stream, read lazily and in order: an error stops at the first bad
+    coefficient.  Domain membership is checked on the standard part only,
+    which infinitesimal perturbations never leave.  sin, cos and tan have no
+    value at an infinite standard part: that is NonFiniteError, as is a
+    coefficient past binary64."""
     x = as_fermat(x)
     r = x.std
-
-    def coeff(i: int) -> float:
-        try:
-            value = f.tower(r, i)
-        except OverflowError as exc:  # the tower's value is past binary64
-            value = exc if isinstance(exc, _Huge) else math.inf
-        return _taylor_coeff(value, (i,), f.name, (r,))
-
+    coeffs = _coefficients(f, r)
     try:
         inside = f.domain(r)
         if inside and math.isinf(r):
-            coeff(0)
+            coeffs = itertools.chain([next(coeffs)], coeffs)
     except ValueError:
         raise NonFiniteError(f"{f.name}: no value at standard part {r:g}") from None
     if not inside:
@@ -263,7 +232,7 @@ def ext_apply(f: ElementaryFn, x) -> FermatReal:
             f"{f.name}: standard part {format(r, 'g')} outside domain "
             f"({f.domain_desc})"
         )
-    return _taylor(x, coeff)
+    return _taylor(x, coeffs)
 
 
 def derive(f: Callable[[FermatReal], FermatReal], at: float) -> float:

@@ -10,7 +10,7 @@ import math
 import re
 import sys
 
-from .core import FermatReal, _as_rational, format_real, iota
+from .core import FermatReal, _as_rational, _format_order, format_real, iota
 from .errors import FermatError, NonPositiveOrderError, ParseError
 from .expr import as_function, evaluate, parse
 from .calculus import derive
@@ -33,9 +33,7 @@ class _UsageError(FermatError):
 def _value_json(v: FermatReal) -> dict:
     return {
         "std": v.std,
-        "terms": [
-            {"coeff": t.coeff, "order": str(t.order)} for t in v.terms
-        ],
+        "terms": [{"coeff": c, "order": _format_order(v.den, k)} for k, c in zip(v.ks, v.cs)],
     }
 
 

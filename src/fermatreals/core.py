@@ -28,11 +28,12 @@ shared freely across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import partial, reduce
-from typing import Callable, Iterable, NamedTuple, Tuple, Union
+from functools import reduce
+from typing import Iterable, Iterator, NamedTuple, Tuple, Union
 
 from .errors import NonFiniteError, NonPositiveOrderError, NotInvertibleError
 
@@ -431,15 +432,14 @@ def _poly(hs, entries) -> FermatReal:
     return reduce(add, rest, _lattice(buckets, den))
 
 
-def _taylor(x: FermatReal, a: Callable[[int], float]) -> FermatReal:
-    """Taylor sum ``sum(a(i) * h**i)`` at x = r + h, with a(i) the i-th
-    Taylor coefficient at r and i up to N = floor(order(h)): h**(N+1)
-    vanishes, so the sum is exact.  The one-parameter case of ``_poly``."""
+def _taylor(x: FermatReal, a: Iterator[float]) -> FermatReal:
+    """Taylor sum ``sum(a_i * h**i)`` at x = r + h, a_i the Taylor coefficients
+    at r read lazily, in order, from the iterator a up to N = floor(order(h)):
+    h**(N+1) vanishes.  The one-parameter ``_poly``, where each i <= N survives."""
     if not x.ks:
-        return from_real(a(0))
+        return from_real(next(a))
     n = x.den // x.ks[0]
-    entries = [((i,), partial(a, i)) for i in range(n + 1)]
-    return _poly([_make(0.0, x.den, x.ks, x.cs)], entries)
+    return _poly([_make(0.0, x.den, x.ks, x.cs)], [((i,), a.__next__) for i in range(n + 1)])
 
 
 def invert(x) -> FermatReal:
@@ -455,7 +455,7 @@ def invert(x) -> FermatReal:
         raise NotInvertibleError("not invertible: standard part is 0")
     u = _lattice({0: [1.0]} | {k: [c / x.std] for k, c in zip(x.ks, x.cs)}, x.den)
     s = 1.0 / x.std
-    return _taylor(u, lambda i: -s if i % 2 else s)
+    return _taylor(u, itertools.cycle((s, -s)))
 
 
 def _as_level(a, what: str):

@@ -13,7 +13,10 @@ Grammar (EBNF, also in the README):
 
 NUMBER is a decimal with optional fraction and exponent.  dt orders are
 exact rationals: ``dt[1.5]`` is sugar for ``dt[3/2]`` (decimals beyond 12
-significant digits are rejected to keep exponent rationals small).
+significant digits are rejected to keep exponent rationals small).  Before
+any int is built, a dt order's digits are bounded by ``_MAX_ORDER_DIGITS``,
+and so is its decimal exponent's magnitude: every order prints in under
+the 4,300 digits Python's int to str conversion allows.
 
 The parser reads tokens by index from parallel lists of kinds, texts and
 offsets.  The evaluator branches on the exact node type and calls
@@ -32,6 +35,7 @@ from .core import FermatReal, as_fermat, dt, from_real
 from .errors import NonPositiveOrderError, ParseError, UnboundVariableError
 
 _MAX_DEPTH = 100
+_MAX_ORDER_DIGITS = 1000
 
 _FUNCTION_ARITY = {name: 1 for name in CATALOG}
 _FUNCTION_ARITY["pow"] = 2
@@ -252,6 +256,12 @@ class _Parser:
             self.fail(num, "a dt order")
         text = texts[num]
         self.i += 1
+        digits, _, exponent = text.replace(".", "").replace("E", "e").partition("e")
+        if len(digits) > _MAX_ORDER_DIGITS:
+            self.fail(num, f"a dt order of at most {_MAX_ORDER_DIGITS} digits")
+        magnitude = exponent.lstrip("+-").lstrip("0")
+        if len(magnitude) > 4 or int(magnitude or "0") > _MAX_ORDER_DIGITS:
+            self.fail(num, f"a dt order with an exponent of at most {_MAX_ORDER_DIGITS}")
         if texts[self.i] == "/":
             if "." in text or "e" in text or "E" in text:
                 self.fail(num, "an integer numerator")
@@ -259,13 +269,14 @@ class _Parser:
             den = self.i
             if not texts[den].isdigit():  # no name, op or "" is all digits
                 self.fail(den, "an integer denominator")
+            if len(texts[den]) > _MAX_ORDER_DIGITS:
+                self.fail(den, f"a denominator of at most {_MAX_ORDER_DIGITS} digits")
             self.i += 1
             if int(texts[den]) == 0:
                 self.fail(den, "a nonzero denominator")
             q = Fraction(int(text), int(texts[den]))
         else:
             if "." in text or "e" in text or "E" in text:
-                digits = text.split("e")[0].split("E")[0].replace(".", "")
                 if len(digits.lstrip("0")) > 12:
                     self.fail(num, "a dt order with at most 12 significant digits")
             q = Fraction(text)

@@ -35,7 +35,7 @@ def graph_samples(x, delta: float, samples: int) -> GraphSample:
     if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta}")
     _natural(samples, "samples", least=2)
-    exps = [(t.coeff, float(t.exp)) for t in x.terms]
+    exps = [(c, k / x.den) for k, c in zip(x.ks, x.cs)]
     points = []
     for i in range(samples):
         t = delta * i / samples

@@ -329,10 +329,31 @@ def series_error(got: FermatReal, ref: dict) -> float:
     return worst
 
 
-# -- the Fraction forms of the exact derivative towers -----------------------
+# -- the Fraction forms of the derivatives f_i(r) -----------------------------
 #
-# calculus computes these towers on the integers of r.as_integer_ratio();
-# they must equal these Fraction forms bit for bit, exceptions included.
+# calculus streams the Taylor coefficients a_i = f_i(r) / i! as exact integer
+# pairs; each a_i must equal the Fraction form below divided by i! and rounded
+# once, bit for bit and error for error.  "Exact" is given the float f(r)
+# where f(r) is transcendental, and value(r) for a non-integer power.
+
+def sin_derivative(i: int, r: float) -> float:
+    """The i-th derivative of sin at r, by the cycle sin, cos, -sin, -cos."""
+    return (math.sin, math.cos, lambda v: -math.sin(v), lambda v: -math.cos(v))[i % 4](r)
+
+
+@lru_cache(maxsize=None)
+def tan_poly(i: int) -> tuple[int, ...]:
+    """p_i over u = tan(r) with d^i tan = p_i(u):  p_0 = u,
+    p_{i+1} = p_i' * (1 + u**2)."""
+    if i == 0:
+        return (0, 1)
+    dp = tuple(k * c for k, c in enumerate(tan_poly(i - 1)))[1:]
+    out = [0] * (len(dp) + 2)
+    for k, c in enumerate(dp):
+        out[k] += c
+        out[k + 2] += c
+    return tuple(out)
+
 
 @lru_cache(maxsize=None)
 def atan_poly(i: int) -> tuple[int, ...]:
@@ -350,25 +371,52 @@ def atan_poly(i: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def fraction_atan_tower(r: float, i: int) -> float:
+def fraction_tan_tower(r: float, i: int) -> Fraction:
+    u = Fraction(math.tan(r))
+    return sum(c * u**k for k, c in enumerate(tan_poly(i)))
+
+
+def fraction_atan_tower(r: float, i: int) -> Fraction:
     if i == 0:
-        return math.atan(r)
+        return Fraction(math.atan(r))
     rq = Fraction(r)
     num = sum(c * rq**k for k, c in enumerate(atan_poly(i)))
-    return float(Fraction(num) / (1 + rq * rq) ** i)
+    return Fraction(num) / (1 + rq * rq) ** i
 
 
-def fraction_power_tower(c: Fraction, value, r: float, i: int) -> float:
+def fraction_power_tower(c: Fraction, value, r: float, i: int) -> Fraction:
     p, q = c.numerator, c.denominator
     exact = q == 1 and abs(p) <= 1024
     if i == 0 and not exact:
-        return value(r)
+        return Fraction(value(r))
     falling = 1
     for k in range(i):
         falling *= p - k * q
     if exact:
-        return float(falling * Fraction(r) ** (p - i))
-    return float(falling / (q * Fraction(r)) ** i) * value(r)
+        return falling * Fraction(r) ** (p - i)
+    return falling / (q * Fraction(r)) ** i * Fraction(value(r))
+
+
+def fraction_tower(name: str, r: float, i: int) -> Fraction:
+    """f_i(r) for the catalog function of that name, in exact rationals."""
+    if name == "exp":
+        return Fraction(math.exp(r))
+    if name in ("sin", "cos"):
+        return Fraction(sin_derivative(i + (name == "cos"), r))
+    if name == "tan":
+        return fraction_tan_tower(r, i)
+    if name == "atan":
+        return fraction_atan_tower(r, i)
+    if name == "ln":
+        return Fraction(math.log(r)) if i == 0 else fraction_power_tower(Fraction(-1), None, r, i - 1)
+    if name == "recip":
+        return fraction_power_tower(Fraction(-1), None, r, i)
+    return fraction_power_tower(Fraction(1, 2), math.sqrt, r, i)
+
+
+def taylor_coefficient(tower, r: float, i: int) -> float:
+    """A Fraction form f_i(r) divided exactly by i! and rounded once."""
+    return float(tower(r, i) / math.factorial(i))
 
 
 def fd_central(f, x: float, step: float = 1e-5) -> float:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as F
 from functools import partial, reduce
 
@@ -36,7 +37,6 @@ from fermatreals import (
     taylor_multi,
 )
 from fermatreals import calculus
-from fermatreals.calculus import _tan_poly
 from fermatreals.errors import (
     DomainError,
     NonFiniteError,
@@ -47,47 +47,60 @@ from fermatreals.errors import (
 import helpers
 
 
-# -- derivative towers -------------------------------------------------------
+# -- Taylor-coefficient streams ----------------------------------------------
+
+def _coefficients(f, r, n):
+    """The first n Taylor coefficients of f at r, each p / q of its stream."""
+    return [p / q for p, q in itertools.islice(f.tower(r), n)]
+
 
 def test_tower_cycles_against_finite_differences():
+    # a_{i+1} = a_i' / (i + 1); compared in derivative units f_i = a_i * i!
     rng = random.Random(1)
     for name in ("exp", "ln", "sin", "cos", "tan", "atan", "sqrt", "recip"):
         fn = CATALOG[name]
         for _ in range(10):
             r = rng.uniform(0.3, 2.0)
             for i in range(4):
-                want = helpers.fd_central(lambda v: fn.tower(v, i), r)
-                got = fn.tower(r, i + 1)
+                want = helpers.fd_central(
+                    lambda v: _coefficients(fn, v, i + 1)[i] * math.factorial(i), r)
+                got = _coefficients(fn, r, i + 2)[i + 1] * math.factorial(i + 1)
                 assert abs(got - want) <= 1e-4 * max(1.0, abs(got))
 
 
 def test_ln_and_recip_towers_exact_to_high_order():
-    for i in (1, 2, 5, 10, 33, 64):
+    for i in (1, 2, 5, 10, 33, 64, 171, 400):
         for r in (0.5, 2.0, 3.0):
             rq = F(r)
-            want_ln = float(F((-1) ** (i - 1) * math.factorial(i - 1)) / rq**i)
-            want_recip = float(F((-1) ** i * math.factorial(i)) / rq ** (i + 1))
-            assert CATALOG["ln"].tower(r, i) == want_ln
-            assert CATALOG["recip"].tower(r, i) == want_recip
+            want_ln = float(F((-1) ** (i - 1) * math.factorial(i - 1)) / rq**i / math.factorial(i))
+            want_recip = float(F((-1) ** i * math.factorial(i)) / rq ** (i + 1) / math.factorial(i))
+            assert _coefficients(CATALOG["ln"], r, i + 1)[i] == want_ln
+            assert _coefficients(CATALOG["recip"], r, i + 1)[i] == want_recip
 
 
 def test_tan_tower_known_values():
     # derivatives of tan at 0 follow the tangent numbers
     at_zero = [0, 1, 0, 2, 0, 16, 0, 272, 0, 7936, 0, 353792, 0, 22368256]
-    for i, want in enumerate(at_zero):
-        assert CATALOG["tan"].tower(0.0, i) == want
-    # at tan(r) = 1 the tower values are 2, 4, 16, 80, 512, ...
+    got = _coefficients(CATALOG["tan"], 0.0, len(at_zero))
+    assert got == [float(F(want, math.factorial(i))) for i, want in enumerate(at_zero)]
+    # at tan(r) = 1 the derivatives are 2, 4, 16, 80, 512, ...; the float
+    # tan(atan(1)) is 1 - 2**-53, and the stream is exact there
+    r = math.atan(1.0)
+    got = _coefficients(CATALOG["tan"], r, 6)
     for i, want in enumerate([2, 4, 16, 80, 512], start=1):
-        assert sum(_tan_poly(i)) == want
+        assert sum(helpers.tan_poly(i)) == want
+        assert got[i] == helpers.taylor_coefficient(helpers.fraction_tan_tower, r, i)
+        assert abs(got[i] - want / math.factorial(i)) <= 1e-14 * got[i]
 
 
 def test_atan_tower_known_values():
     # odd derivatives at 0 alternate as (-1)**k * (2k)!; even ones vanish
+    got = _coefficients(CATALOG["atan"], 0.0, 14)
     for k in range(7):
         n = 2 * k + 1
-        assert CATALOG["atan"].tower(0.0, n) == (-1) ** k * math.factorial(2 * k)
+        assert got[n] == float(F((-1) ** k * math.factorial(2 * k), math.factorial(n)))
         if k:
-            assert CATALOG["atan"].tower(0.0, 2 * k) == 0.0
+            assert got[2 * k] == 0.0
     assert len(helpers.atan_poly(64)) == 64  # degree i - 1
 
 
@@ -97,51 +110,59 @@ def test_sqrt_and_pow_towers_match_falling_factorials():
     recip, square = pow_const(-1.0), pow_const(2.0)
     for _ in range(20):
         r = rng.uniform(0.2, 4.0)
-        for i in range(1, 6):
-            a = CATALOG["sqrt"].tower(r, i)
-            b = p.tower(r, i)
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
-        for i in range(65):
-            assert recip.tower(r, i) == CATALOG["recip"].tower(r, i)
-        exact = [F(r) ** 2, 2 * F(r), F(2)] + [F(0)] * 62
-        for i in range(65):
-            assert square.tower(r, i) == float(exact[i])
+        # the two differ only in value(r): math.sqrt against r**0.5
+        for a, b in zip(_coefficients(CATALOG["sqrt"], r, 6)[1:], _coefficients(p, r, 6)[1:]):
+            assert abs(a - b) <= 1e-12 * abs(a)
+        assert _coefficients(recip, r, 65) == _coefficients(CATALOG["recip"], r, 65)
+        exact = [F(r) ** 2, 2 * F(r), F(1)] + [F(0)] * 62
+        assert _coefficients(square, r, 65) == [float(a) for a in exact]
 
 
-def _outcome(tower, r, i):
-    """A tower's value by its repr (so -0.0, nan and inf count), or the
-    kind of error it raised."""
+_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
+
+
+def _outcome(fn):
+    """fn()'s value by its repr (so -0.0, nan and inf count), or the kind
+    of error it raised."""
     try:
-        return repr(tower(r, i))
-    except (OverflowError, ValueError, ZeroDivisionError) as exc:
-        return next(kind for kind in (OverflowError, ValueError, ZeroDivisionError)
-                    if isinstance(exc, kind))
+        return repr(fn())
+    except _ERRORS as exc:
+        return next(kind for kind in _ERRORS if isinstance(exc, kind))
+
+
+def _stream_outcomes(stream, n):
+    """_outcome of p / q for the first n pairs of a stream; an error
+    inside the stream ends it, as the last item."""
+    out = []
+    for _ in range(n):
+        try:
+            p, q = next(stream)
+        except _ERRORS as exc:
+            return out + [next(kind for kind in _ERRORS if isinstance(exc, kind))]
+        out.append(_outcome(lambda: p / q))
+    return out
 
 
 def test_integer_towers_equal_their_fraction_forms():
-    # The towers run on the integers of r.as_integer_ratio(); bit for bit
-    # and error for error they are the Fraction forms, from the smallest
-    # subnormal to the largest float, negative r and 0, inf, nan included.
+    # Each stream runs on integers; bit for bit and error for error its a_i
+    # is the Fraction form of f_i(r) divided by i! and rounded once, from the
+    # smallest subnormal to the largest float, negative r and 0, inf, nan
+    # included.  An error inside a stream ends it, as it ends ext_apply.
     rng = random.Random(41)
     rs = [5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-10, 0.3, 0.5, 1.0,
           2.0, 1e10, 1e300, 1.7976931348623157e308, 0.0, math.inf, math.nan]
     rs += [rng.uniform(0.01, 10.0) for _ in range(10)]
     rs += [math.ldexp(rng.random(), rng.randint(-1074, 1023)) for _ in range(10)]
     rs += [-r for r in rs]
-    recip_ref = partial(helpers.fraction_power_tower, F(-1), None)
-    towers = [
-        (CATALOG["atan"].tower, helpers.fraction_atan_tower),
-        (CATALOG["recip"].tower, recip_ref),
-        (CATALOG["ln"].tower, lambda r, i: math.log(r) if i == 0 else recip_ref(r, i - 1)),
-        (CATALOG["sqrt"].tower, partial(helpers.fraction_power_tower, F(1, 2), math.sqrt)),
-    ]
+    towers = [(f.tower, partial(helpers.fraction_tower, f.name)) for f in CATALOG.values()]
     for c in (0.5, -1.0, 2.0, -3.0, 2.5, -0.75, 7.0, 1e20, 1 / 3):
-        ref = partial(helpers.fraction_power_tower, F(c), lambda r, e=c: r**e)
+        ref = partial(helpers.fraction_power_tower, F(c), lambda r, e=c: math.pow(r, e))
         towers.append((pow_const(c).tower, ref))
     for tower, ref in towers:
         for r in rs:
-            for i in range(25):
-                assert _outcome(tower, r, i) == _outcome(ref, r, i), (tower, r, i)
+            got = _stream_outcomes(tower(r), 25)
+            want = [_outcome(lambda: helpers.taylor_coefficient(ref, r, i)) for i in range(25)]
+            assert got == want[:len(got)], (tower, r)
 
 
 def test_kernel_equals_mul_and_one_canonicalize():
@@ -159,7 +180,8 @@ def test_kernel_equals_mul_and_one_canonicalize():
         x = add(rng.uniform(0.3, 1.2), h)
         n = math.floor(order(h)) if h.ks else 0
         for f in CATALOG.values():
-            coeffs = [float(F(f.tower(x.std, i)) / math.factorial(i)) for i in range(n + 1)]
+            tower = partial(helpers.fraction_tower, f.name)
+            coeffs = [helpers.taylor_coefficient(tower, x.std, i) for i in range(n + 1)]
             want = helpers.mul_poly([h], [((i,), c) for i, c in enumerate(coeffs)])
             assert ext_apply(f, x) == want, (f.name, x)
         u = canonicalize(0.0, [(t.coeff / x.std, t.exp) for t in x.terms])
@@ -168,14 +190,18 @@ def test_kernel_equals_mul_and_one_canonicalize():
 
 
 def test_taylor_coefficients_past_a_binary64_derivative():
-    # From i = 171 on f_i(r) passes binary64 but f_i(r) / i! does not: the
-    # exact derivative is divided by i! before its one rounding.
+    # From i = 171 on f_i(r) passes binary64 but a_i = f_i(r) / i! does not.
+    # At a power-of-two standard part every recip coefficient
+    # (-1)**i / r**(i+1) is exact, as are invert's h / r and 1 / r, so the
+    # two are equal bit for bit.
     x = add(1, dt(200))
     got, want = ext_apply(CATALOG["recip"], x), invert(x)
     assert got.ks == want.ks == tuple(range(1, 201))
-    # below 171 the tower value and the quotient each round, as before
-    assert all(abs(a - b) <= 2**-52 for a, b in zip(got.cs, want.cs))
-    assert got.cs[170:] == want.cs[170:]
+    for r in (1.0, -1.0, 2.0, -0.5, 0.25):
+        for depth in (40, 200):
+            for h in (dt(depth), add(dt(depth), mul(-3, dt(7)))):
+                x = add(r, h)
+                assert ext_apply(CATALOG["recip"], x) == invert(x), (r, depth, h)
     half = F(1, 2)
     exact = {
         # at r = 1/2 the float sqrt(r) scales the exact part, (1/2)_i / r**i
@@ -193,27 +219,46 @@ def test_taylor_coefficients_past_a_binary64_derivative():
         assert helpers.series_error(got, helpers.oracle_series(coeffs, x)) <= 1e-15, name
 
 
-def test_taylor_coefficients_past_320_factorial_skip_it(monkeypatch):
-    # 320! > 2**2200, so a finite tower value over i! >= 320! is a signed
-    # zero: the factorial is not formed, as it once was for every i.
+def test_exp_series_forms_no_factorial(monkeypatch):
+    # exp, sin and cos divide f(r) by a running i!, so a depth of 2000 forms
+    # no factorial; from i = 178 on e / i! is below 2**-1075, a zero
     calls = []
     factorial = math.factorial
     monkeypatch.setattr(math, "factorial", lambda n: calls.append(n) or factorial(n))
     x = add(1, add(dt(2000), dt(3)))
     got = ext_apply(CATALOG["exp"], x)
     monkeypatch.undo()
-    assert max(calls) == 319
-    # from i = 178 on e / i! is below 2**-1075 anyway
+    assert calls == []
     coeffs = [float(F(math.e) / math.factorial(i)) for i in range(178)]
     assert coeffs[-1] > 0.0 == float(F(math.e) / math.factorial(178))
     assert got == helpers.mul_poly([sub(x, 1)], [((i,), c) for i, c in enumerate(coeffs)])
-    # below 320 the quotient is exact; the zero keeps the value's sign; an
-    # infinite value is still an error
+    # i! stops growing past 2**2200, and every coefficient keeps its bits
+    for name in ("exp", "sin", "cos"):
+        for r in (1.0, -2.5, 700.0, 1e-300):
+            want = [repr(helpers.taylor_coefficient(partial(helpers.fraction_tower, name), r, i))
+                    for i in range(400)]
+            assert list(map(repr, _coefficients(CATALOG[name], r, 400))) == want, (name, r)
+    # taylor_multi's quotient keeps the value's sign down to a zero; an
+    # infinite value is an error
     assert calculus._taylor_coeff(1e308, (200,), "f", (0.0,)) == float(F(1e308) / math.factorial(200))
     assert math.copysign(1.0, calculus._taylor_coeff(-1e308, (400,), "f", (0.0,))) == -1.0
     assert math.copysign(1.0, calculus._taylor_coeff(0.0, (400,), "f", (0.0,))) == 1.0
     with pytest.raises(NonFiniteError, match="f: Taylor coefficient 400 at 0 has"):
         calculus._taylor_coeff(-math.inf, (400,), "f", (0.0,))
+
+
+def test_deep_power_and_atan_series_are_fast():
+    # one integer step per coefficient: depth 3000 took seconds when each
+    # coefficient rebuilt its falling factorial or its power (n + d*1j)**i
+    for name, r in (("recip", 1.0), ("sqrt", 1.0), ("ln", 1.0), ("atan", 0.5), ("recip", 0.5)):
+        start = time.perf_counter()
+        try:
+            got = len(ext_apply(CATALOG[name], add(r, dt(3000))).ks)
+        except NonFiniteError as exc:  # 2**1024 at coefficient 1023 of recip(0.5)
+            got = str(exc)
+        assert time.perf_counter() - start < 1.0, (name, r)
+        assert got == (3000 if (name, r) != ("recip", 0.5) else
+                       "recip: Taylor coefficient 1023 at 0.5 has no finite binary64 value")
 
 
 # -- ext_apply ---------------------------------------------------------------
@@ -363,9 +408,9 @@ def _sinuv_partials(j, x):
     # f(u, v) = sin(u) * v
     du, dv = j
     if dv == 0:
-        return CATALOG["sin"].tower(x[0], du) * x[1]
+        return helpers.sin_derivative(du, x[0]) * x[1]
     if dv == 1:
-        return CATALOG["sin"].tower(x[0], du)
+        return helpers.sin_derivative(du, x[0])
     return 0.0
 
 

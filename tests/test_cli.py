@@ -35,6 +35,10 @@ def test_eval_parse_error_exit_2(capsys):
     code, out, err = run(capsys, "eval", "dt[")
     assert code == 2 and out == ""
     assert "offset 3" in err
+    # an order too large to print is a parse error, not Python's int limit
+    for argv in (("order", "dt[1e5000]"), ("eval", "dt[" + "9" * 5000 + "/1]")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("fermat: parse error at offset 3: "), err
 
 
 def test_eval_not_invertible_exit_3(capsys):
@@ -176,9 +180,10 @@ def test_taylor_sums_past_170_factorial(capsys):
 
 
 def test_taylor_coefficients_past_a_binary64_derivative(capsys):
-    # f_i(r) passes binary64 from i = 171 on, f_i(r) / i! does not: no
-    # "has no finite binary64 value" for these
-    for expr in ("sqrt(1+dt[200])", "recip(1+dt[200])", "ln(1+dt[200])", "atan(0.5+dt[200])"):
+    # f_i(r) passes binary64 from about i = 170 on (164 for tan at 0.5),
+    # f_i(r) / i! does not: no "has no finite binary64 value" for these
+    for expr in ("sqrt(1+dt[200])", "recip(1+dt[200])", "ln(1+dt[200])", "atan(0.5+dt[200])",
+                 "tan(0.5+dt[200])"):
         code, out, err = run(capsys, "eval", expr)
         assert (code, err) == (0, ""), (expr, err)
         assert out.count("dt[") == 200, expr

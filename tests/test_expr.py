@@ -18,6 +18,7 @@ from fermatreals import (
     from_real,
     mul,
     neg,
+    order,
     parse,
     sub,
 )
@@ -77,6 +78,15 @@ def test_parse_error_positions_point_at_first_bad_byte():
         "pow(1)": (5, "2 arguments to pow", "1"),
         "1..2": (2, "end of input", "'.2'"),
         "-" * 101 + "1": (100, "a shallower expression", "'-'"),
+        # a dt order is bounded before any int is built
+        "dt[1e5000]": (3, "a dt order with an exponent of at most 1000", "'1e5000'"),
+        "dt[1e10000000]": (3, "a dt order with an exponent of at most 1000", "'1e10000000'"),
+        "dt[2E-1001]": (3, "a dt order with an exponent of at most 1000", "'2E-1001'"),
+        "dt[" + "9" * 5000 + "/1]": (3, "a dt order of at most 1000 digits", repr("9" * 5000)),
+        "dt[" + "9" * 1001 + "]": (3, "a dt order of at most 1000 digits", repr("9" * 1001)),
+        "dt[0." + "0" * 5000 + "1]": (3, "a dt order of at most 1000 digits",
+                                     repr("0." + "0" * 5000 + "1")),
+        "dt[1/" + "7" * 1001 + "]": (5, "a denominator of at most 1000 digits", repr("7" * 1001)),
     }
     for text, triple in cases.items():
         with pytest.raises(ParseError) as err:
@@ -109,6 +119,12 @@ def test_parse_dt_rejects_long_decimals():
         parse("dt[1.234567890123456]")
     # 12 significant digits are fine
     parse("dt[1.23456789012]")
+    # the largest orders accepted print, within Python's 4,300-digit limit
+    for text, want in (("9" * 12 + "e1000", F(10**12 - 1) * 10**1000), ("9" * 1000, F(10**1000 - 1)),
+                       ("9" * 1000 + "/" + "7" * 1000, F(10**1000 - 1, 7 * (10**1000 - 1) // 9)),
+                       ("1e+0001000", F(10**1000))):
+        assert order(evaluate(parse(f"dt[{text}]"))) == want
+        assert str(evaluate(parse(f"dt[{text}]"))) == f"dt[{want}]"
 
 
 def test_parse_precedence():
