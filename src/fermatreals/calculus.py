@@ -12,9 +12,9 @@ each is rounded once: correctly, even where f_i(r) itself is past binary64.
 Also here: the first-derivative extractor built on square-zero
 increments, powers and logarithms with positive invertible bases, and
 infinitesimal polynomials with smooth coefficients, which also evaluate
-the multivariate Taylor sum.  These Taylor sums and polynomials, like
-``invert``, are calls to core's one infinitesimal-polynomial kernel, which
-prunes vanishing monomials with the exact product-of-powers test.
+the multivariate Taylor sum.  Taylor sums run core's kernel, like
+``invert``; polynomials run its multi-index kernel, which prunes vanishing
+monomials with the exact product-of-powers test.
 """
 
 from __future__ import annotations
@@ -277,14 +277,14 @@ def taylor_multi(
 
     ``partials(j, x)`` must return the mixed partial of multi-index j at
     the real point x.  The sum is evaluated as the infinitesimal polynomial
-    in h with coefficients d^j f(x) / j! (rounded once) by
+    in h with coefficients d^j f(x) / j! (rounded once), as by
     :func:`eval_param_poly`.  Only the multi-indices whose monomial h**j
     survives the product-of-powers test are listed, so the oracle is never
     consulted for a vanishing one.
     """
     _natural(n, "degree")
     xs = tuple(float(v) for v in x)
-    hs = [as_fermat(v) for v in h]
+    hs = ParamPoly(h, (), n).params  # its parameter checks alone: no entries
     den, kmin = _leading(hs)
     # (j, room, degree left), extended one parameter at a time in
     # lexicographic order, keeping sum(j) <= n and sum(j_k * kmin_k) <= den
@@ -296,7 +296,7 @@ def taylor_multi(
         (j, lambda j=j: _taylor_coeff(partials(j, xs), j, "taylor_multi", xs))
         for j, _, _ in js
     ]
-    return eval_param_poly(ParamPoly(hs, entries, n))
+    return _poly(hs, entries)
 
 
 def power(x, y) -> FermatReal:

@@ -16,11 +16,11 @@ truncation is ``k <= den``.  ``FermatReal.terms`` is an exact
 floats compared exactly: a term exists iff its coefficient is not ``0.0``.
 Operations append float addends to buckets ``k -> [addends]`` (k = 0 is the
 standard part) and round each bucket once with ``math.fsum``; a sum with no
-finite binary64 value, NaN included, raises NonFiniteError.  One kernel,
-``_poly``, serves :func:`invert`, every smooth extension and the polynomials
-of ``calculus``; its powers are ``{k: c}`` dicts on one lattice.  Two real
-operands of ``add``/``mul`` and a real argument of ``_taylor`` take a short
-cut, ``from_real`` of the one float, which is the general result bit for bit.
+finite binary64 value, NaN included, raises NonFiniteError.  ``_taylor``
+(:func:`invert`, smooth extensions) and ``_poly`` (``calculus``' polynomials)
+read one table of powers as ``{k: c}`` dicts on one lattice, ``_powers``.
+Real operands of ``add``, ``mul``, ``invert`` and ``_taylor`` take a short
+cut, ``from_real`` of one float, which is the general result bit for bit.
 
 Values are immutable; every operation is a pure function, so values can be
 shared freely across threads.
@@ -304,11 +304,10 @@ def _sums(buckets: dict, den: int) -> dict:
 
 def _convolve(buckets: dict, xs, ys, den: int) -> dict:
     """Append each product of a term of xs and one of ys, ``(k, c)`` pairs,
-    to the bucket of its exponent, x outermost as mul always did; ys's k
-    increase, so a row ends at the first exponent past den."""
-    row = list(ys)
+    to the bucket of its exponent, x outermost as mul always did; ys (a list
+    or dict view) has increasing k, so a row ends at the first k past den."""
     for i, a in xs:
-        for j, b in row:
+        for j, b in ys:
             k = i + j
             if k > den:
                 break
@@ -326,7 +325,7 @@ def dt(order: RationalLike) -> FermatReal:
     The order must be exact (int, Fraction, or a string such as ``"3/2"``
     or ``"2.1"``).
     """
-    b = _as_rational(order, "dt order")
+    b = order if type(order) is Fraction else _as_rational(order, "dt order")
     if b <= 0:
         raise NonPositiveOrderError(f"dt order must be positive, got {b}")
     if b < 1:
@@ -362,10 +361,8 @@ def mul(x, y) -> FermatReal:
     den = math.lcm(x.den, y.den)
     kx, ky = _on(x, den), _on(y, den)
     buckets = {0: [x.std * y.std]} | {k: [c * y.std] for k, c in zip(kx, x.cs) if y.std != 0.0}
-    if x.std != 0.0:
-        for k, c in zip(ky, y.cs):
-            buckets.setdefault(k, []).append(c * x.std)
-    return _lattice(_convolve(buckets, zip(kx, x.cs), zip(ky, y.cs), den), den)
+    xs = zip(kx, x.cs) if x.std == 0.0 else itertools.chain(((0, x.std),), zip(kx, x.cs))
+    return _lattice(_convolve(buckets, xs, list(zip(ky, y.cs)), den), den)
 
 
 def _natural(n, what: str, least: int = 0) -> int:
@@ -394,23 +391,27 @@ def _leading(hs) -> tuple[int, list[int]]:
     return den, [h.ks[0] * (den // h.den) if h.ks else den + 1 for h in hs]
 
 
+def _powers(h: FermatReal, den: int, k: int) -> list:
+    """h**0 .. h**(den // k), and h**1 in any case, as ``{k: c}`` dicts on the
+    lattice den, k being h's leading numerator there: mul's convolution of
+    the last power with h and one fsum per exponent, so mul's bits."""
+    table = [{0: 1.0}, dict(zip(_on(h, den), h.cs))]
+    while len(table) * k <= den:
+        table.append(_sums(_convolve({}, table[-1].items(), table[1].items(), den), den))
+    return table
+
+
 def _poly(hs, entries) -> FermatReal:
     """``sum(c() * prod(h_k ** q_k))`` over the ``(q, c)`` entries: q a
     multi-index over the infinitesimals hs, c a thunk giving a float or a
     FermatReal.  On the lattice of ``_leading(hs)``, a monomial vanishes iff
     ``sum(q_k * kmin_k) > den`` (the product-of-powers theorem), and then c
-    is not called.  Powers of each h_k and monomials are ``{k: c}`` dicts
-    on that one lattice, made by mul's convolution and fsum per exponent,
-    so they equal mul's products bit for bit.  Every float product goes
-    into one set of buckets, so each coefficient is one fsum; the
-    infinitesimal part of a FermatReal c is multiplied and added apart."""
+    is not called.  A monomial is its ``_powers`` entries convolved on that
+    one lattice.  Every float product goes into one set of buckets, so each
+    coefficient is one fsum; the infinitesimal part of a FermatReal c is
+    multiplied and added apart."""
     den, kmin = _leading(hs)
-    unit, powers = {0: 1.0}, []
-    for h, k in zip(hs, kmin):
-        table = [unit, dict(zip(_on(h, den), h.cs))]
-        while len(table) * k <= den:
-            table.append(_sums(_convolve({}, table[-1].items(), table[1].items(), den), den))
-        powers.append(table)
+    unit, powers = {0: 1.0}, [_powers(h, den, k) for h, k in zip(hs, kmin)]
     buckets, rest = {}, []
     for q, coeff in entries:
         if sum(map(operator.mul, q, kmin)) > den:
@@ -435,11 +436,18 @@ def _poly(hs, entries) -> FermatReal:
 def _taylor(x: FermatReal, a: Iterator[float]) -> FermatReal:
     """Taylor sum ``sum(a_i * h**i)`` at x = r + h, a_i the Taylor coefficients
     at r read lazily, in order, from the iterator a up to N = floor(order(h)):
-    h**(N+1) vanishes.  The one-parameter ``_poly``, where each i <= N survives."""
+    h**(N+1) vanishes.  Every power is built before a_0 is read, N+1 reads
+    in all, and every a_i * h**i goes into one set of buckets, as in ``_poly``."""
     if not x.ks:
         return from_real(next(a))
-    n = x.den // x.ks[0]
-    return _poly([_make(0.0, x.den, x.ks, x.cs)], [((i,), a.__next__) for i in range(n + 1)])
+    buckets = {}
+    for power, c in zip(_powers(x, x.den, x.ks[0]), a):
+        for k, ck in power.items():
+            if k in buckets:
+                buckets[k].append(c * ck)
+            else:
+                buckets[k] = [c * ck]
+    return _lattice(buckets, x.den)
 
 
 def invert(x) -> FermatReal:
@@ -453,8 +461,10 @@ def invert(x) -> FermatReal:
     x = as_fermat(x)
     if x.std == 0.0:
         raise NotInvertibleError("not invertible: standard part is 0")
-    u = _lattice({0: [1.0]} | {k: [c / x.std] for k, c in zip(x.ks, x.cs)}, x.den)
     s = 1.0 / x.std
+    if not x.ks:
+        return from_real(s)
+    u = _lattice({0: [1.0]} | {k: [c / x.std] for k, c in zip(x.ks, x.cs)}, x.den)
     return _taylor(u, itertools.cycle((s, -s)))
 
 

@@ -36,7 +36,7 @@ from fermatreals import (
     sub,
     taylor_multi,
 )
-from fermatreals import calculus
+from fermatreals import calculus, core
 from fermatreals.errors import (
     DomainError,
     NonFiniteError,
@@ -187,6 +187,84 @@ def test_kernel_equals_mul_and_one_canonicalize():
         u = canonicalize(0.0, [(t.coeff / x.std, t.exp) for t in x.terms])
         s = 1.0 / x.std
         assert invert(x) == helpers.mul_poly([u], [((i,), -s if i % 2 else s) for i in range(n + 1)])
+
+
+def test_taylor_kernel_equals_mul_on_mixed_lattices():
+    # h of 1 to 8 terms with exponents over denominators 1..8 (den up to
+    # 840) and depth floor(order(h)) up to 12: every catalog extension and
+    # invert equal h's powers by mul and one canonicalize, bit for bit
+    rng = random.Random(43)
+    pool = sorted({F(p, q) for q in (1, 2, 3, 4, 5, 6, 7, 8, 10, 12) for p in range(1, q + 1)})
+    dens = set()
+    for _ in range(60):
+        lead = F(1, rng.choice((1, 2, 3, 4, 5, 6, 7, 8, 10, 12)))
+        above = [e for e in pool if e > lead]
+        rest = rng.sample(above, min(len(above), rng.randint(0, 7)))
+        h = canonicalize(0.0, [(helpers.rand_coeff(rng), e) for e in [lead] + rest])
+        x = add(rng.uniform(0.3, 1.2), h)
+        n = math.floor(order(h))
+        dens.add(x.den)
+        assert n <= 12 and len(x.ks) <= 8
+        for f in CATALOG.values():
+            tower = partial(helpers.fraction_tower, f.name)
+            coeffs = [helpers.taylor_coefficient(tower, x.std, i) for i in range(n + 1)]
+            want = helpers.mul_poly([h], [((i,), c) for i, c in enumerate(coeffs)])
+            assert ext_apply(f, x) == want, (f.name, x)
+        u = canonicalize(0.0, [(t.coeff / x.std, t.exp) for t in x.terms])
+        s = 1.0 / x.std
+        series = [((i,), -s if i % 2 else s) for i in range(n + 1)]
+        assert invert(x) == helpers.mul_poly([u], series)
+    assert max(dens) == 840 and min(dens) == 1
+
+
+class _Reads:
+    """An endless coefficient stream that counts the values read from it."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.reads += 1
+        return 0.5 if self.reads % 2 else -0.25
+
+
+def test_taylor_kernel_reads_n_plus_1_coefficients_after_every_power():
+    rng = random.Random(44)
+    for _ in range(40):
+        x = add(rng.choice((1.0, -0.5, 3.0)), helpers.rand_infinitesimal(rng, 1, 4))
+        stream = _Reads()
+        core._taylor(x, stream)
+        assert stream.reads == x.den // x.ks[0] + 1 == math.floor(order(x - x.std)) + 1
+    stream = _Reads()
+    assert core._taylor(from_real(2.0), stream) == from_real(0.5) and stream.reads == 1
+    # fsum's answer hangs on the order of its addends only at overflow: the
+    # bucket of dt[1] gets a_1*h, a_2*h**2, a_3*h**3 = 1e308, 1e308, -1e308
+    # in that order, as in one canonicalize, so it overflows on the way
+    x = add(1.0, add(dt(3), add(mul(0.5, dt("3/2")), dt(1))))
+    a = [1.0, 1e308, 1e308, -1e308]
+    series = [((i,), c) for i, c in enumerate(a)]
+    with pytest.raises(NonFiniteError, match=r"^coefficient of dt\[1\] has no finite") as err:
+        core._taylor(x, iter(a))
+    with pytest.raises(NonFiniteError) as want:
+        helpers.mul_poly([x - 1.0], series)
+    assert str(err.value) == str(want.value)
+    a[2:] = a[3:1:-1]  # 1e308, -1e308, 1e308 sums to 1e308
+    series = [((i,), c) for i, c in enumerate(a)]
+    assert core._taylor(x, iter(a)) == helpers.mul_poly([x - 1.0], series)
+    # h**2 has 2e308*dt[4/3], past binary64: that error comes before the
+    # first coefficient is read, so before exp's own at 1000
+    x = add(1000.0, mul(1e154, add(dt(4), dt(2))))
+    stream = _Reads()
+    with pytest.raises(NonFiniteError, match=r"^coefficient of dt\[4/3\] has no finite"):
+        core._taylor(x, stream)
+    assert stream.reads == 0
+    with pytest.raises(NonFiniteError, match=r"^coefficient of dt\[4/3\] has no finite"):
+        ext_apply(CATALOG["exp"], x)
+    with pytest.raises(NonFiniteError, match="^exp: Taylor coefficient 0 at 1000 has no finite"):
+        ext_apply(CATALOG["exp"], add(1000.0, dt(3)))
 
 
 def test_taylor_coefficients_past_a_binary64_derivative():
@@ -666,13 +744,9 @@ def test_taylor_multi_lists_only_surviving_multi_indices(monkeypatch):
     # the sum is the polynomial over them with each d^j f / j! rounded once,
     # which equals plain float division while every j! is exact (n <= 18)
     listed = []
-
-    class Recording(ParamPoly):
-        def __init__(self, params, entries, level):
-            super().__init__(params, entries, level)
-            listed.append(len(self.entries))
-
-    monkeypatch.setattr(calculus, "ParamPoly", Recording)
+    poly = calculus._poly
+    monkeypatch.setattr(calculus, "_poly",
+                        lambda hs, entries: listed.append(len(entries)) or poly(hs, entries))
     rng = random.Random(23)
     cases = [((dt(2), dt(3), dt(150)), 150), ((dt(4), ZERO, dt("7/2")), 4)]
     cases += [([helpers.rand_infinitesimal(rng) for _ in range(rng.randint(1, 3))], None)

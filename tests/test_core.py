@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 import random
@@ -123,6 +124,37 @@ def test_dt_rejects_nonpositive_and_float_orders():
         dt(-2)
     with pytest.raises(TypeError):
         dt(1.5)
+
+
+def test_dt_takes_a_fraction_as_is_and_every_other_order_as_before():
+    # a Fraction skips the copy through numbers.Rational; every other input
+    # gives the same value or the same error type and message as ever
+    class Sub(F):
+        pass
+
+    for order in (F(3, 2), Sub(3, 2), "3/2", "1.5", decimal.Decimal("1.5")):
+        assert dt(order) == core._make(0.0, 3, (2,), (1.0,)), order
+    assert dt(F(1, 2)) is dt(Sub(1, 2)) is dt("0.5") is ZERO
+    assert dt(F(7)) == dt(7) == core._make(0.0, 7, (1,), (1.0,))
+    exact = "dt order must be exact: pass an int, Fraction, or string like '3/2' or '2.1', not "
+    errors = [  # a list, since 0 and F(0) are one dict key
+        (1.5, TypeError, exact + "1.5"),
+        (True, TypeError, exact + "True"),
+        (math.inf, TypeError, exact + "inf"),
+        ("abc", ValueError, "invalid dt order: 'abc'"),
+        ("1/0", ValueError, "invalid dt order: '1/0'"),
+        ("", ValueError, "invalid dt order: ''"),
+        (0, NonPositiveOrderError, "dt order must be positive, got 0"),
+        (F(0), NonPositiveOrderError, "dt order must be positive, got 0"),
+        (F(-1, 2), NonPositiveOrderError, "dt order must be positive, got -1/2"),
+        (Sub(-3), NonPositiveOrderError, "dt order must be positive, got -3"),
+        ("-3/2", NonPositiveOrderError, "dt order must be positive, got -3/2"),
+        (-2, NonPositiveOrderError, "dt order must be positive, got -2"),
+    ]
+    for order, kind, message in errors:
+        with pytest.raises(kind) as err:
+            dt(order)
+        assert type(err.value) is kind and str(err.value) == message, order
 
 
 # -- add / neg / sub --------------------------------------------------------
@@ -361,22 +393,30 @@ def _outcome(fn):
 
 def test_real_operands_give_the_general_kernels_bits(monkeypatch):
     # -0.0 survives as a standard part only when built by _make
-    reals = [core._make(r, 1, (), ())
-             for r in (0.0, -0.0, 5e-324, 1e-300, -1e-300, 1.0, 1e308, math.inf, -math.inf)]
+    points = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, 1e308,
+              -1.7976931348623157e308, math.inf, -math.inf)
+    reals = [core._make(r, 1, (), ()) for r in points]
     for x, y in itertools.product(reals, repeat=2):
         assert _outcome(lambda: add(x, y)) == _outcome(
             lambda: core._lattice({0: [x.std + y.std]}, 1)), (x.std, y.std)
         assert _outcome(lambda: mul(x, y)) == _outcome(
             lambda: core._lattice({0: [x.std * y.std]}, 1)), (x.std, y.std)
-    # invert and ext_apply hand the Taylor kernel their coefficient stream;
-    # given the same stream, the general kernel reads a_0 as its one entry
+    # ext_apply hands the Taylor kernel its coefficient stream; given the
+    # same stream, the general kernel reads a_0 as its one entry
     seen = []
 
     def general(x, a):
         seen.append(x)
         return core._poly([ZERO], [((0,), a.__next__)])
 
-    fns = [invert] + [partial(ext_apply, f) for f in CATALOG.values()]
+    # invert of a real stops before the kernel, which would run on
+    # u = 1 + h/std = 1 with the stream 1/std, -1/std, ...
+    for x in reals:
+        s = 1.0 / x.std if x.std else 0.0
+        slow = _outcome(lambda: general(ONE, itertools.cycle((s, -s))))
+        want = slow if x.std else (NotInvertibleError, "not invertible: standard part is 0")
+        assert _outcome(lambda: invert(x)) == want, x.std
+    fns = [partial(ext_apply, f) for f in CATALOG.values()]
     for fn, x in itertools.product(fns, reals):
         seen.clear()
         with monkeypatch.context() as patch:
