@@ -5,9 +5,10 @@ infinitesimal part) is a *finite* Taylor sum
 
     sum_{i=0..N} a_i * h**i,      a_i = f_i(r)/i!,  N = floor(order(h)),
 
-exact because h**(N+1) vanishes.  Each catalog function streams its a_i as
-exact integer pairs (p, q), each from the last by an integer recurrence, and
-each is rounded once: correctly, even where f_i(r) itself is past binary64.
+exact because h**(N+1) vanishes, so N is known before any a_i is needed.
+Each catalog function's ``tower(r, n)`` returns the list a_0 .. a_n, built
+in one loop that steps exact integer pairs (p, q) by a recurrence and rounds
+each a_i = p / q once: correctly, even where f_i(r) itself is past binary64.
 
 Also here: the first-derivative extractor built on square-zero
 increments, powers and logarithms with positive invertible bases, and
@@ -19,11 +20,10 @@ monomials with the exact product-of-powers test.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (
     FermatReal,
@@ -37,6 +37,7 @@ from .core import (
     _leading,
     _natural,
     _poly,
+    _printable,
     _taylor,
 )
 from .errors import (
@@ -50,128 +51,129 @@ from .order import in_ideal
 
 _DT1 = dt(1)
 
-Pairs = Iterator[tuple[int, int]]
+# -- Taylor-coefficient towers: a_0 .. a_n, each the exact p / q rounded once
 
-
-# -- Taylor-coefficient streams: a_i = p / q exactly, in order ------------
-
-def _cycle_tower(cycle, r: float) -> Pairs:
-    """(p, q * i!) for derivatives f_i(r) = p / q that repeat ``cycle(r)``; i!
-    stops growing past 2**2200, where p / q over either is the same signed 0."""
-    scale = 1
-    for i, v in enumerate(itertools.cycle(cycle(r)), 1):
-        p, q = v.as_integer_ratio()
-        yield p, q * scale
+def _cycle(values: tuple, n: int, out: list) -> None:
+    """p / (q * i!) for derivatives f_i(r) = p / q that repeat ``values``;
+    i! stops growing past 2**2200, where p / q over either is the same signed 0."""
+    pqs, scale = [v.as_integer_ratio() for v in values], 1
+    for i in range(n + 1):
+        p, q = pqs[i % len(pqs)]
+        out.append(p / (q * scale))
         if scale.bit_length() <= 2200:
-            scale *= i
+            scale *= i + 1
 
 
-_exp_tower = partial(_cycle_tower, lambda r: (math.exp(r),))
-_sin_tower = partial(_cycle_tower,
-                     lambda r: (math.sin(r), math.cos(r), -math.sin(r), -math.cos(r)))
-_cos_tower = partial(_cycle_tower,
-                     lambda r: (math.cos(r), -math.sin(r), -math.cos(r), math.sin(r)))
-
-
-def _tan_tower(r: float) -> Pairs:
-    """With tan(r) = n/d, a_k = A_k / (k! * d**(k+1)): A_0 = n, A_1 = n*n + d*d
+def _tan_tower(r: float, n: int, out: list) -> None:
+    """With tan(r) = t/d, a_k = A_k / (k! * d**(k+1)): A_0 = t, A_1 = t*t + d*d
     from tan' = 1 + tan**2, whose Cauchy product gives the integers
-    A_{k+1} = sum_j C(k, j) * A_j * A_{k-j}."""
-    n, d = math.tan(r).as_integer_ratio()
-    A, q = [n, n * n + d * d], d
-    for k in itertools.count(1):
-        yield A[k - 1], q
+    A_{k+1} = sum_j C(k, j) * A_j * A_{k-j}, each symmetric pair once, along
+    a running binomial row."""
+    t, d = math.tan(r).as_integer_ratio()
+    A, q = [t, t * t + d * d], d
+    out.append(t / q)
+    for k in range(1, n + 1):
         q *= k * d
-        A.append(sum(math.comb(k, j) * A[j] * A[k - j] for j in range(k + 1)))
+        out.append(A[k] / q)
+        if k < n:
+            s, c = 0, 1
+            for j in range((k + 1) // 2):
+                s += c * A[j] * A[k - j]
+                c = c * (k - j) // (j + 1)
+            A.append(2 * s + (0 if k % 2 else c * A[k // 2] ** 2))
 
 
-def _atan_tower(r: float) -> Pairs:
+def _atan_tower(r: float, n: int, out: list) -> None:
     """atan' = Im(1 / (r - 1j)), so a_i = Im((-1)**(i-1) / (r - 1j)**i) / i
-    for i >= 1, and 1 / (r - 1j) = d * (n + d*1j) / (n*n + d*d) at r = n/d:
+    for i >= 1, and 1 / (r - 1j) = d * (m + d*1j) / (m*m + d*d) at r = m/d:
     one Gaussian-integer step per i, with d**i (d a power of two) a shift."""
-    yield math.atan(r).as_integer_ratio()
-    n, d = r.as_integer_ratio()
-    m, k = n * n + d * d, d.bit_length() - 1
-    re, im, q = -1, 0, 1
-    for i in itertools.count(1):
-        re, im, q = im * d - re * n, -re * d - im * n, q * m
-        yield im << k * i, i * q
+    p, q = math.atan(r).as_integer_ratio()
+    out.append(p / q)
+    m, d = r.as_integer_ratio() if n else (0, 1)
+    mm, k, re, im, q = m * m + d * d, d.bit_length() - 1, -1, 0, 1
+    for i in range(1, n + 1):
+        re, im, q = im * d - re * m, -re * d - im * m, q * mm
+        out.append((im << k * i) / (i * q))
 
 
-def _power_tower(c: Fraction, value, r: float) -> Pairs:
+def _power_tower(c: Fraction, value, r: float, n: int, out: list) -> None:
     """r**c by a_{i+1} = a_i * (c - i) / ((i + 1) * r) on the integers of
-    r = n/d, from the exact r**c for an integer |c| <= 1024 (past that,
+    r = m/d, from the exact r**c for an integer |c| <= 1024 (past that,
     powers of r run to megabits), with a_i = C(c, i) * r**(c-i) for i < c so
     that r = 0 divides nothing there; else from ``value(r)``, which for sqrt
     is math.sqrt, since ``r**0.5`` is not always sqrt(r)."""
     p, q = c.numerator, c.denominator
     exact = q == 1 and abs(p) <= 1024
     if exact:
-        n, d = r.as_integer_ratio()
-        for i in range(p):
-            yield math.comb(p, i) * n ** (p - i), d ** (p - i)
-        a, b = (1, 1) if p >= 0 else (d**-p, n**-p)
+        m, d = r.as_integer_ratio()
+        for i in range(min(p, n + 1)):
+            out.append(math.comb(p, i) * m ** (p - i) / d ** (p - i))
+        if len(out) > n:
+            return
+        a, b = (1, 1) if p >= 0 else (d**-p, m**-p)
     else:
         a, b = value(r).as_integer_ratio()
-    yield a, b
-    n, d = r.as_integer_ratio()
-    n, d = abs(n), -d if n < 0 else d  # b keeps its sign: a zero a_i stays 0.0
-    for i in itertools.count(max(p, 0) if exact else 0):
-        a, b = a * (p - i * q) * d, b * (i + 1) * q * n
-        yield a, b
+    out.append(a / b)
+    m, d = r.as_integer_ratio() if len(out) <= n else (0, 1)
+    m, d = abs(m), -d if m < 0 else d  # b keeps its sign: a zero a_i stays 0.0
+    for i in range(len(out) - 1, n):
+        a, b = a * (p - i * q) * d, b * (i + 1) * q * m
+        out.append(a / b)
 
 
-_sqrt_tower = partial(_power_tower, Fraction(1, 2), math.sqrt)
-_recip_tower = partial(_power_tower, Fraction(-1), None)
-
-
-def _ln_tower(r: float) -> Pairs:
-    yield math.log(r).as_integer_ratio()
-    for i, (a, b) in enumerate(_recip_tower(r), 1):
-        yield a, b * i
-
-
-def _any_real(r: float) -> bool:
-    return True
-
-
-def _positive(r: float) -> bool:
-    return r > 0
-
-
-def _nonzero(r: float) -> bool:
-    return r != 0
-
-
-def _cos_nonzero(r: float) -> bool:
-    return math.cos(r) != 0.0
+def _ln_tower(r: float, n: int, out: list) -> None:
+    """a_i = (-1)**(i-1) / (i * r**i), i >= 1, on the integers of r = m/d."""
+    p, q = math.log(r).as_integer_ratio()
+    out.append(p / q)
+    (m, d), a, b = r.as_integer_ratio(), -1, 1  # r is finite: log(r) was
+    for i in range(1, n + 1):
+        a, b = -a * d, b * m
+        out.append(a / (b * i))
 
 
 class ElementaryFn(NamedTuple):
-    """A smooth function with an exact Taylor-coefficient stream: ``tower(r)``
-    lazily yields a_i = f_i(r) / i! at the real point r, i = 0 first, as
-    integer pairs (p, q) with a_i = p / q exactly, given the float f(r) where
-    f is transcendental (or, where a_i rounds to a signed zero, a pair that
-    rounds to it).  ``domain`` checks an argument's standard part."""
+    """A smooth function with exact Taylor coefficients: ``tower(r, n)`` is
+    the list a_0 .. a_n, a_i = f_i(r) / i! at the real point r, each exactly
+    p / q rounded once (f(r) is the float where f is transcendental); the
+    first with no finite binary64 value raises NonFiniteError naming its
+    index.  ``domain`` checks an argument's standard part."""
 
     name: str
-    tower: Callable[[float], Pairs]
+    tower: Callable[[float, int], list]
     domain: Callable[[float], bool]
     domain_desc: str
 
     def value(self, r: float) -> float:
-        p, q = next(self.tower(r))
-        return p / q
+        return self.tower(r, 0)[0]
 
 
-EXP = ElementaryFn("exp", _exp_tower, _any_real, "any real")
-LN = ElementaryFn("ln", _ln_tower, _positive, "standard part > 0")
-SIN = ElementaryFn("sin", _sin_tower, _any_real, "any real")
-COS = ElementaryFn("cos", _cos_tower, _any_real, "any real")
-TAN = ElementaryFn("tan", _tan_tower, _cos_nonzero, "cos(standard part) != 0")
-ATAN = ElementaryFn("atan", _atan_tower, _any_real, "any real")
-SQRT = ElementaryFn("sqrt", _sqrt_tower, _positive, "standard part > 0")
-RECIP = ElementaryFn("recip", _recip_tower, _nonzero, "standard part != 0")
+def _fn(name: str, fill, domain, domain_desc: str) -> ElementaryFn:
+    """Its ``tower(r, n)`` is the list ``fill(r, n, out)`` appends a_0 .. a_n
+    to; an OverflowError at a_i is NonFiniteError naming i."""
+
+    def tower(r: float, n: int) -> list:
+        out = []
+        try:
+            fill(r, n, out)
+        except OverflowError:
+            raise _non_finite(name, (len(out),), (r,)) from None
+        return out
+
+    return ElementaryFn(name, tower, domain, domain_desc)
+
+
+_ANY, _POSITIVE = "any real", "standard part > 0"
+EXP = _fn("exp", lambda r, n, out: _cycle((math.exp(r),), n, out), lambda r: True, _ANY)
+LN = _fn("ln", _ln_tower, lambda r: r > 0, _POSITIVE)
+SIN = _fn("sin", lambda r, n, out: _cycle(
+    (math.sin(r), math.cos(r), -math.sin(r), -math.cos(r)), n, out), lambda r: True, _ANY)
+COS = _fn("cos", lambda r, n, out: _cycle(
+    (math.cos(r), -math.sin(r), -math.cos(r), math.sin(r)), n, out), lambda r: True, _ANY)
+TAN = _fn("tan", _tan_tower, lambda r: math.cos(r) != 0.0, "cos(standard part) != 0")
+ATAN = _fn("atan", _atan_tower, lambda r: True, _ANY)
+SQRT = _fn("sqrt", partial(_power_tower, Fraction(1, 2), math.sqrt), lambda r: r > 0, _POSITIVE)
+RECIP = _fn("recip", partial(_power_tower, Fraction(-1), None), lambda r: r != 0,
+            "standard part != 0")
 
 CATALOG = {f.name: f for f in (EXP, LN, SIN, COS, TAN, ATAN, SQRT, RECIP)}
 
@@ -179,8 +181,8 @@ CATALOG = {f.name: f for f in (EXP, LN, SIN, COS, TAN, ATAN, SQRT, RECIP)}
 def pow_const(c: float) -> ElementaryFn:
     """Power function with a fixed real exponent, on positive bases."""
     e = float(c)
-    tower = partial(_power_tower, Fraction(e), lambda r: math.pow(r, e))
-    return ElementaryFn(f"pow[{c}]", tower, _positive, "standard part > 0")
+    fill = partial(_power_tower, Fraction(e), lambda r: math.pow(r, e))
+    return _fn(f"pow[{c}]", fill, lambda r: r > 0, _POSITIVE)
 
 
 def _non_finite(name: str, js, at) -> NonFiniteError:
@@ -198,33 +200,21 @@ def _taylor_coeff(value, js, name: str, at) -> float:
     return p / (q * math.prod(map(math.factorial, js)))
 
 
-def _coefficients(f: ElementaryFn, r: float) -> Iterator[float]:
-    """f's Taylor coefficients at r, rounded once; an overflow raises NonFiniteError."""
-    i = 0
-    try:
-        for p, q in f.tower(r):
-            yield p / q
-            i += 1
-    except OverflowError:
-        raise _non_finite(f.name, (i,), (r,)) from None
-
-
 def ext_apply(f: ElementaryFn, x) -> FermatReal:
     """Extend f to a Fermat-real argument by exact Taylor truncation.
 
-    Runs core's Taylor kernel, the one ``invert`` uses, on f's coefficient
-    stream, read lazily and in order: an error stops at the first bad
+    Runs core's Taylor kernel, the one ``invert`` uses, on ``f.tower``,
+    which it asks once for a_0 .. a_N: an error names the first bad
     coefficient.  Domain membership is checked on the standard part only,
     which infinitesimal perturbations never leave.  sin, cos and tan have no
     value at an infinite standard part: that is NonFiniteError, as is a
     coefficient past binary64."""
     x = as_fermat(x)
     r = x.std
-    coeffs = _coefficients(f, r)
     try:
         inside = f.domain(r)
         if inside and math.isinf(r):
-            coeffs = itertools.chain([next(coeffs)], coeffs)
+            f.tower(r, 0)  # a_0's error there comes before any power's
     except ValueError:
         raise NonFiniteError(f"{f.name}: no value at standard part {r:g}") from None
     if not inside:
@@ -232,7 +222,7 @@ def ext_apply(f: ElementaryFn, x) -> FermatReal:
             f"{f.name}: standard part {format(r, 'g')} outside domain "
             f"({f.domain_desc})"
         )
-    return _taylor(x, coeffs)
+    return _taylor(x, f.tower)
 
 
 def derive(f: Callable[[FermatReal], FermatReal], at: float) -> float:
@@ -261,7 +251,7 @@ def derive(f: Callable[[FermatReal], FermatReal], at: float) -> float:
         return 0.0
     if d.den != 1 or d.ks != (1,):  # anything but one term dt[1], exponent 1/1
         raise NotSmoothAtPointError(
-            f"increment at {at!r} has residual terms of order != 1: {d}"
+            f"increment at {at!r} has residual terms of order != 1: {_printable(d.__str__)}"
         )
     return d.cs[0]
 
@@ -343,7 +333,7 @@ class ParamPoly:
         for p in self.params:
             if not in_ideal(p, self.level):
                 raise NotInIdealError(
-                    f"parameter {p} is not nilpotent at level {self.level}"
+                    f"parameter {_printable(p.__str__)} is not nilpotent at level {self.level}"
                 )
         for q, _ in self.entries:
             if len(q) != len(self.params):

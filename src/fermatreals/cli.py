@@ -67,8 +67,8 @@ def _cmd_cmp(args) -> int:
 
 
 def _cmd_order(args) -> int:
-    w = order(evaluate(parse(args.expr), _bindings(args)))
-    return _emit(args, str(w), {"order": str(w)})
+    text = _format_order(*order(evaluate(parse(args.expr), _bindings(args))).as_integer_ratio())
+    return _emit(args, text, {"order": text})
 
 
 def _cmd_nilpotent(args) -> int:
@@ -89,12 +89,8 @@ def _cmd_prodzero(args) -> int:
         raise FermatError(f"bad exponent list: {args.exps!r}") from None
     if product_power_zero(orders, exps):
         return _emit(args, "zero", {"zero": True, "order": None})
-    w = product_power_order(orders, exps)
-    return _emit(
-        args,
-        f"nonzero, order {w}",
-        {"zero": False, "order": str(w)},
-    )
+    text = _format_order(*product_power_order(orders, exps).as_integer_ratio())
+    return _emit(args, f"nonzero, order {text}", {"zero": False, "order": text})
 
 
 def _cmd_iota(args) -> int:

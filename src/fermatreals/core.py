@@ -15,10 +15,13 @@ truncation is ``k <= den``.  ``FermatReal.terms`` is an exact
 ``Term(coeff, Fraction)`` view, built only when read.  Coefficients are
 floats compared exactly: a term exists iff its coefficient is not ``0.0``.
 Operations append float addends to buckets ``k -> [addends]`` (k = 0 is the
-standard part) and round each bucket once with ``math.fsum``; a sum with no
-finite binary64 value, NaN included, raises NonFiniteError.  ``_taylor``
-(:func:`invert`, smooth extensions) and ``_poly`` (``calculus``' polynomials)
-read one table of powers as ``{k: c}`` dicts on one lattice, ``_powers``.
+standard part) and round each bucket once with ``math.fsum`` (a lone addend
+is its own fsum); a sum with no finite binary64 value, NaN included, raises
+NonFiniteError.  ``_taylor`` (:func:`invert`, smooth extensions) and
+``_poly`` (``calculus``' polynomials) read one power table, ``_powers``: the
+list [h**0, h**1, ..., h**N], each power a ``{k: c}`` dict on one lattice.
+``_taylor`` then asks its coefficient tower once for the list a_0 .. a_N
+and folds a_i * h**i into one set of buckets.
 Real operands of ``add``, ``mul``, ``invert`` and ``_taylor`` take a short
 cut, ``from_real`` of one float, which is the general result bit for bit.
 
@@ -28,14 +31,14 @@ shared freely across threads.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Iterator, NamedTuple, Tuple, Union
+from typing import Iterable, NamedTuple, Tuple, Union
 
-from .errors import NonFiniteError, NonPositiveOrderError, NotInvertibleError
+from .errors import FermatError, NonFiniteError, NonPositiveOrderError, NotInvertibleError
 
 RationalLike = Union[int, Fraction, str]
 
@@ -61,9 +64,23 @@ def format_real(v: float) -> str:
 
 
 def _format_order(den: int, k: int) -> str:
-    """The order ``den/k`` of the exponent ``k/den``, in lowest terms."""
+    """The order ``den/k`` of the exponent ``k/den``, in lowest terms; one
+    past Python's limit on the digits of a printed int raises FermatError."""
     g = math.gcd(den, k)
-    return str(den // g) if k == g else f"{den // g}/{k // g}"
+    try:
+        return str(den // g) if k == g else f"{den // g}/{k // g}"
+    except ValueError:
+        raise FermatError(f"exact order too long to print: past Python's limit of "
+                          f"{sys.get_int_max_str_digits()} digits per int") from None
+
+
+def _printable(text) -> str:
+    """``text()`` for another error's message: a value whose exact order is too
+    long to print reads as a placeholder there, so that error keeps its type."""
+    try:
+        return text()
+    except FermatError:
+        return f"<not printed: an exact order of over {sys.get_int_max_str_digits()} digits>"
 
 
 class Term(NamedTuple):
@@ -286,18 +303,21 @@ def _lattice(buckets: dict, den: int) -> FermatReal:
 
 
 def _sums(buckets: dict, den: int) -> dict:
-    """``k -> fsum(buckets[k])`` by increasing k, for each nonzero sum; one
-    with no finite binary64 value (overflow, inf - inf, NaN) raises."""
+    """``k -> fsum(buckets[k])`` by increasing k, for each nonzero sum (a lone
+    addend, inf too, is its own fsum); a sum with no finite binary64 value
+    (overflow, inf - inf, NaN) raises."""
     sums = {}
     try:
         for k in sorted(buckets):
-            c = math.fsum(buckets[k])
+            s = buckets[k]
+            c = s[0] if len(s) == 1 else math.fsum(s)
             if c != c:
                 raise ValueError
             if c != 0.0:
                 sums[k] = c
     except (OverflowError, ValueError):
-        what = f"coefficient of dt[{_format_order(den, k)}]" if k else "standard part"
+        what = ("coefficient of " + _printable(lambda: f"dt[{_format_order(den, k)}]")
+                if k else "standard part")
         raise NonFiniteError(f"{what} has no finite binary64 value") from None
     return sums
 
@@ -361,7 +381,7 @@ def mul(x, y) -> FermatReal:
     den = math.lcm(x.den, y.den)
     kx, ky = _on(x, den), _on(y, den)
     buckets = {0: [x.std * y.std]} | {k: [c * y.std] for k, c in zip(kx, x.cs) if y.std != 0.0}
-    xs = zip(kx, x.cs) if x.std == 0.0 else itertools.chain(((0, x.std),), zip(kx, x.cs))
+    xs = zip(kx, x.cs) if x.std == 0.0 else zip((0,) + kx, (x.std,) + x.cs)
     return _lattice(_convolve(buckets, xs, list(zip(ky, y.cs)), den), den)
 
 
@@ -433,15 +453,15 @@ def _poly(hs, entries) -> FermatReal:
     return reduce(add, rest, _lattice(buckets, den))
 
 
-def _taylor(x: FermatReal, a: Iterator[float]) -> FermatReal:
-    """Taylor sum ``sum(a_i * h**i)`` at x = r + h, a_i the Taylor coefficients
-    at r read lazily, in order, from the iterator a up to N = floor(order(h)):
-    h**(N+1) vanishes.  Every power is built before a_0 is read, N+1 reads
-    in all, and every a_i * h**i goes into one set of buckets, as in ``_poly``."""
+def _taylor(x: FermatReal, tower) -> FermatReal:
+    """Taylor sum ``sum(a_i * h**i)`` at x = r + h to N = floor(order(h)), as
+    h**(N+1) vanishes: the list ``tower(r, N)`` of a_0 .. a_N is asked for
+    once, after every power is built (``tower(r, 0)`` at a real x), and every
+    a_i * h**i goes into one set of buckets, as in ``_poly``."""
     if not x.ks:
-        return from_real(next(a))
+        return from_real(tower(x.std, 0)[0])
     buckets = {}
-    for power, c in zip(_powers(x, x.den, x.ks[0]), a):
+    for power, c in zip(_powers(x, x.den, x.ks[0]), tower(x.std, x.den // x.ks[0])):
         for k, ck in power.items():
             if k in buckets:
                 buckets[k].append(c * ck)
@@ -465,7 +485,7 @@ def invert(x) -> FermatReal:
     if not x.ks:
         return from_real(s)
     u = _lattice({0: [1.0]} | {k: [c / x.std] for k, c in zip(x.ks, x.cs)}, x.den)
-    return _taylor(u, itertools.cycle((s, -s)))
+    return _taylor(u, lambda r, n: ([s, -s] * (n // 2 + 1))[:n + 1])
 
 
 def _as_level(a, what: str):

@@ -15,8 +15,9 @@ NUMBER is a decimal with optional fraction and exponent.  dt orders are
 exact rationals: ``dt[1.5]`` is sugar for ``dt[3/2]`` (decimals beyond 12
 significant digits are rejected to keep exponent rationals small).  Before
 any int is built, a dt order's digits are bounded by ``_MAX_ORDER_DIGITS``,
-and so is its decimal exponent's magnitude: every order prints in under
-the 4,300 digits Python's int to str conversion allows.
+and so is its decimal exponent's magnitude: every literal's order prints
+within Python's 4,300-digit int to str limit (a product's may not: that
+is a FermatError).
 
 The parser reads tokens by index from parallel lists of kinds, texts and
 offsets.  The evaluator branches on the exact node type and calls

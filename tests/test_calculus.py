@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction as F
 from functools import partial, reduce
 
@@ -39,6 +40,7 @@ from fermatreals import (
 from fermatreals import calculus, core
 from fermatreals.errors import (
     DomainError,
+    FermatError,
     NonFiniteError,
     NotInIdealError,
     NotSmoothAtPointError,
@@ -47,11 +49,13 @@ from fermatreals.errors import (
 import helpers
 
 
-# -- Taylor-coefficient streams ----------------------------------------------
+# -- Taylor-coefficient towers -----------------------------------------------
 
 def _coefficients(f, r, n):
-    """The first n Taylor coefficients of f at r, each p / q of its stream."""
-    return [p / q for p, q in itertools.islice(f.tower(r), n)]
+    """The first n Taylor coefficients of f at r: its tower to index n - 1."""
+    got = f.tower(r, n - 1)
+    assert len(got) == n
+    return got
 
 
 def test_tower_cycles_against_finite_differences():
@@ -130,39 +134,41 @@ def _outcome(fn):
         return next(kind for kind in _ERRORS if isinstance(exc, kind))
 
 
-def _stream_outcomes(stream, n):
-    """_outcome of p / q for the first n pairs of a stream; an error
-    inside the stream ends it, as the last item."""
-    out = []
-    for _ in range(n):
-        try:
-            p, q = next(stream)
-        except _ERRORS as exc:
-            return out + [next(kind for kind in _ERRORS if isinstance(exc, kind))]
-        out.append(_outcome(lambda: p / q))
-    return out
-
-
 def test_integer_towers_equal_their_fraction_forms():
-    # Each stream runs on integers; bit for bit and error for error its a_i
+    # Each tower runs on integers; bit for bit and error for error its a_i
     # is the Fraction form of f_i(r) divided by i! and rounded once, from the
     # smallest subnormal to the largest float, negative r and 0, inf, nan
-    # included.  An error inside a stream ends it, as it ends ext_apply.
+    # included.  The list stops at the first error: an overflow is
+    # NonFiniteError naming that index, any other error is raised as it is.
     rng = random.Random(41)
     rs = [5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-10, 0.3, 0.5, 1.0,
           2.0, 1e10, 1e300, 1.7976931348623157e308, 0.0, math.inf, math.nan]
     rs += [rng.uniform(0.01, 10.0) for _ in range(10)]
     rs += [math.ldexp(rng.random(), rng.randint(-1074, 1023)) for _ in range(10)]
     rs += [-r for r in rs]
-    towers = [(f.tower, partial(helpers.fraction_tower, f.name)) for f in CATALOG.values()]
+    fns = [(f, partial(helpers.fraction_tower, f.name)) for f in CATALOG.values()]
     for c in (0.5, -1.0, 2.0, -3.0, 2.5, -0.75, 7.0, 1e20, 1 / 3):
         ref = partial(helpers.fraction_power_tower, F(c), lambda r, e=c: math.pow(r, e))
-        towers.append((pow_const(c).tower, ref))
-    for tower, ref in towers:
+        fns.append((pow_const(c), ref))
+    overflows = 0
+    for f, ref in fns:
         for r in rs:
-            got = _stream_outcomes(tower(r), 25)
             want = [_outcome(lambda: helpers.taylor_coefficient(ref, r, i)) for i in range(25)]
-            assert got == want[:len(got)], (tower, r)
+            bad = next((i for i, w in enumerate(want) if not isinstance(w, str)), None)
+            if bad is None:
+                assert list(map(repr, f.tower(r, 24))) == want, (f.name, r)
+            elif want[bad] is OverflowError:
+                overflows += 1
+                with pytest.raises(NonFiniteError) as err:
+                    f.tower(r, 24)
+                assert str(err.value) == (f"{f.name}: Taylor coefficient {bad} at {r:g} "
+                                          "has no finite binary64 value"), (f.name, r)
+            else:
+                with pytest.raises(want[bad]):
+                    f.tower(r, 24)
+            if bad is not None and bad:  # the list up to the first error
+                assert list(map(repr, f.tower(r, bad - 1))) == want[:bad], (f.name, r)
+    assert overflows > 50
 
 
 def test_kernel_equals_mul_and_one_canonicalize():
@@ -217,50 +223,68 @@ def test_taylor_kernel_equals_mul_on_mixed_lattices():
     assert max(dens) == 840 and min(dens) == 1
 
 
-class _Reads:
-    """An endless coefficient stream that counts the values read from it."""
+class _Requests:
+    """A coefficient tower that logs each request ``(r, n)`` and answers
+    with the first n + 1 of ``values``, or of 0.5, -0.25, 0.5, ..."""
 
-    def __init__(self):
-        self.reads = 0
+    def __init__(self, log=None, values=None):
+        self.log = [] if log is None else log
+        self.values = values
 
-    def __iter__(self):
-        return self
+    def __call__(self, r, n):
+        self.log.append((r, n))
+        if self.values is not None:
+            return self.values[:n + 1]
+        return [0.5 if i % 2 == 0 else -0.25 for i in range(n + 1)]
 
-    def __next__(self):
-        self.reads += 1
-        return 0.5 if self.reads % 2 else -0.25
 
-
-def test_taylor_kernel_reads_n_plus_1_coefficients_after_every_power():
+def test_taylor_kernel_reads_n_plus_1_coefficients_after_every_power(monkeypatch):
+    # one request, for a_0 .. a_N, once the table h**0 .. h**N is built
     rng = random.Random(44)
+    log = []
+    powers = core._powers
+
+    def logged(*args):
+        table = powers(*args)
+        log.append(len(table))
+        return table
+
+    monkeypatch.setattr(core, "_powers", logged)
     for _ in range(40):
         x = add(rng.choice((1.0, -0.5, 3.0)), helpers.rand_infinitesimal(rng, 1, 4))
-        stream = _Reads()
-        core._taylor(x, stream)
-        assert stream.reads == x.den // x.ks[0] + 1 == math.floor(order(x - x.std)) + 1
-    stream = _Reads()
-    assert core._taylor(from_real(2.0), stream) == from_real(0.5) and stream.reads == 1
+        log.clear()
+        core._taylor(x, _Requests(log))
+        n = x.den // x.ks[0]
+        assert log == [n + 1, (x.std, n)] and n == math.floor(order(x - x.std))
+    monkeypatch.undo()
+    tower = _Requests()
+    assert core._taylor(from_real(2.0), tower) == from_real(0.5)
+    assert tower.log == [(2.0, 0)]
     # fsum's answer hangs on the order of its addends only at overflow: the
     # bucket of dt[1] gets a_1*h, a_2*h**2, a_3*h**3 = 1e308, 1e308, -1e308
     # in that order, as in one canonicalize, so it overflows on the way
     x = add(1.0, add(dt(3), add(mul(0.5, dt("3/2")), dt(1))))
     a = [1.0, 1e308, 1e308, -1e308]
     series = [((i,), c) for i, c in enumerate(a)]
+    tower = _Requests(values=a)
     with pytest.raises(NonFiniteError, match=r"^coefficient of dt\[1\] has no finite") as err:
-        core._taylor(x, iter(a))
+        core._taylor(x, tower)
+    assert tower.log == [(1.0, 3)]
     with pytest.raises(NonFiniteError) as want:
         helpers.mul_poly([x - 1.0], series)
     assert str(err.value) == str(want.value)
     a[2:] = a[3:1:-1]  # 1e308, -1e308, 1e308 sums to 1e308
     series = [((i,), c) for i, c in enumerate(a)]
-    assert core._taylor(x, iter(a)) == helpers.mul_poly([x - 1.0], series)
+    tower = _Requests(values=a)
+    assert core._taylor(x, tower) == helpers.mul_poly([x - 1.0], series)
+    assert tower.log == [(1.0, 3)]
     # h**2 has 2e308*dt[4/3], past binary64: that error comes before the
-    # first coefficient is read, so before exp's own at 1000
+    # coefficients are asked for, so before exp's own at 1000
     x = add(1000.0, mul(1e154, add(dt(4), dt(2))))
-    stream = _Reads()
+    tower = _Requests()
     with pytest.raises(NonFiniteError, match=r"^coefficient of dt\[4/3\] has no finite"):
-        core._taylor(x, stream)
-    assert stream.reads == 0
+        core._taylor(x, tower)
+    assert tower.log == []
     with pytest.raises(NonFiniteError, match=r"^coefficient of dt\[4/3\] has no finite"):
         ext_apply(CATALOG["exp"], x)
     with pytest.raises(NonFiniteError, match="^exp: Taylor coefficient 0 at 1000 has no finite"):
@@ -784,6 +808,38 @@ def test_taylor_multi_divides_by_factorials_once():
     for bad in (math.inf, math.nan):
         with pytest.raises(NonFiniteError, match=r"taylor_multi: Taylor coefficient 0 at 0 has"):
             taylor_multi(lambda j, x: bad, (0.0,), (dt(2),), 2)
+
+
+def test_taylor_multi_holds_one_factorial_at_a_time():
+    # each coefficient divides by its own j!, so a deep one-parameter sum
+    # holds no table of 0! .. n! (one would take 2.4 MB more here, and grows
+    # as n**2 * log(n))
+    tracemalloc.start()
+    try:
+        got = taylor_multi(lambda j, x: 1.0, (0.0,), (dt(2000),), 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == ext_apply(CATALOG["exp"], dt(2000))
+    assert peak < 3_000_000, peak
+
+
+def test_an_order_past_the_int_digit_limit_keeps_each_errors_type(int_digit_limit):
+    # printing such an order is a FermatError; inside another error's
+    # message it reads as a placeholder, and that error keeps its type
+    long = reduce(mul, [dt(10**999 + 2 * i + 1) for i in range(5)])
+    with pytest.raises(FermatError, match="^exact order too long to print: past Python's limit"):
+        str(long)
+    gone = "<not printed: an exact order of over 4300 digits>"
+    with pytest.raises(NonFiniteError) as info:
+        add(mul(1e308, long), mul(1e308, long))
+    assert str(info.value) == f"coefficient of {gone} has no finite binary64 value"
+    with pytest.raises(NotInIdealError) as info:
+        ParamPoly([add(1, long)], [], 0)
+    assert str(info.value) == f"parameter {gone} is not nilpotent at level 0"
+    with pytest.raises(NotSmoothAtPointError) as info:
+        derive(lambda x: long if x.ks else ZERO, 0.5)
+    assert str(info.value) == f"increment at 0.5 has residual terms of order != 1: {gone}"
 
 
 def test_taylor_multi_partials_errors_propagate():

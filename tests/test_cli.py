@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,29 @@ def test_eval_coefficient_overflow_exit_3(capsys):
     code, out, err = run(capsys, "eval", "1e308*dt[1]+1e308*dt[1]")
     assert code == 3 and out == "" and "Traceback" not in err
     assert err == "fermat: coefficient of dt[1] has no finite binary64 value\n"
+
+
+# Five dt literals with distinct 1000-digit orders: their product's exact
+# order has more digits than Python prints by default.
+_LONG = "*".join(f"dt[{10**999 + 2 * i + 1}]" for i in range(5))
+_TOO_LONG = "fermat: exact order too long to print: past Python's limit of 4300 digits per int\n"
+
+
+def test_eval_of_an_order_past_the_int_digit_limit_exit_3(capsys, int_digit_limit):
+    assert run(capsys, "eval", _LONG) == (3, "", _TOO_LONG)
+    # inside a NonFiniteError's message the order is a placeholder, and the
+    # error keeps its type
+    assert run(capsys, "eval", f"1e308*{_LONG} + 1e308*{_LONG}") == (
+        3, "", "fermat: coefficient of <not printed: an exact order of over 4300 "
+        "digits> has no finite binary64 value\n")
+
+
+def test_order_past_the_int_digit_limit_exit_3(capsys, int_digit_limit):
+    assert run(capsys, "order", _LONG) == (3, "", _TOO_LONG)
+
+
+def test_eval_json_of_an_order_past_the_int_digit_limit_exit_3(capsys, int_digit_limit):
+    assert run(capsys, "eval", "--json", _LONG) == (3, "", _TOO_LONG)
 
 
 def test_nan_is_an_evaluation_error(capsys):

@@ -5,7 +5,6 @@ import itertools
 import math
 import random
 from fractions import Fraction as F
-from functools import partial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -401,33 +400,62 @@ def test_real_operands_give_the_general_kernels_bits(monkeypatch):
             lambda: core._lattice({0: [x.std + y.std]}, 1)), (x.std, y.std)
         assert _outcome(lambda: mul(x, y)) == _outcome(
             lambda: core._lattice({0: [x.std * y.std]}, 1)), (x.std, y.std)
-    # ext_apply hands the Taylor kernel its coefficient stream; given the
-    # same stream, the general kernel reads a_0 as its one entry
+    # ext_apply hands the Taylor kernel its coefficient tower; given the
+    # same tower, the general kernel asks it for a_0 alone, its one entry
     seen = []
 
-    def general(x, a):
+    def general(x, tower):
         seen.append(x)
-        return core._poly([ZERO], [((0,), a.__next__)])
+        asked = []
+        got = core._poly([ZERO], [((0,), lambda: asked.append(0) or tower(x.std, 0)[0])])
+        assert asked == [0]
+        return got
 
     # invert of a real stops before the kernel, which would run on
-    # u = 1 + h/std = 1 with the stream 1/std, -1/std, ...
+    # u = 1 + h/std = 1 with the coefficients 1/std, -1/std, ...
     for x in reals:
         s = 1.0 / x.std if x.std else 0.0
-        slow = _outcome(lambda: general(ONE, itertools.cycle((s, -s))))
+        slow = _outcome(lambda: general(ONE, lambda r, n: [s, -s][:n + 1]))
         want = slow if x.std else (NotInvertibleError, "not invertible: standard part is 0")
         assert _outcome(lambda: invert(x)) == want, x.std
-    fns = [partial(ext_apply, f) for f in CATALOG.values()]
-    for fn, x in itertools.product(fns, reals):
+    for f, x in itertools.product(CATALOG.values(), reals):
         seen.clear()
         with monkeypatch.context() as patch:
             patch.setattr(core, "_taylor", general)
             patch.setattr(calculus, "_taylor", general)
-            slow = _outcome(lambda: fn(x))
+            slow = _outcome(lambda: ext_apply(f, x))
+        asked = []
+        counted = calculus.ElementaryFn(
+            f.name, lambda r, n: asked.append(n) or f.tower(r, n), f.domain, f.domain_desc)
         if seen:  # not refused before the kernel (domain, zero to invert)
-            assert _outcome(lambda: fn(x)) == slow, (fn, x)
+            assert _outcome(lambda: ext_apply(counted, x)) == slow, (f.name, x)
+            # one request for a_0; at an infinite r, a_0 is asked first apart
+            assert asked == [0] * (1 + math.isinf(x.std)), (f.name, x)
     assert invert(from_real(math.inf)) == ZERO
     with pytest.raises(NonFiniteError, match="^exp: Taylor coefficient 0 at 1000 has no finite"):
         ext_apply(CATALOG["exp"], from_real(1000.0))
+
+
+def test_a_one_addend_bucket_is_its_fsum():
+    # a bucket with one addend is taken as it is, which is its fsum: a zero
+    # of either sign vanishes, a subnormal or an infinity stays; NaN raises
+    for v in (0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf):
+        want = math.fsum([v])
+        got = core._lattice({0: [v], 2: [v]}, 3)
+        assert (got.std, got.den, got.ks, got.cs) == (
+            (want, 3, (2,), (want,)) if want else (0.0, 1, (), ())), v
+        assert want or math.copysign(1.0, got.std) == 1.0
+        # h**2 of h = v*dt[3] has the one addend v*v at dt[3/2]
+        h = core._make(0.0, 3, (1,), (v,))
+        square = math.fsum([v * v])
+        assert core._powers(h, 3, 1)[2] == ({2: square} if square else {})
+        assert core._sums({1: [v], 2: [v, 0.0]}, 3) == ({1: want, 2: want} if want else {})
+    with pytest.raises(NonFiniteError, match=r"^standard part has no finite"):
+        core._lattice({0: [math.nan]}, 1)
+    with pytest.raises(NonFiniteError, match=r"^coefficient of dt\[3\] has no finite"):
+        core._sums({1: [math.nan]}, 3)
+    with pytest.raises(NonFiniteError, match=r"^coefficient of dt\[3/2\] has no finite"):
+        core._lattice({0: [1.0], 2: [math.nan]}, 3)
 
 
 # -- iota / eq / standard part ----------------------------------------------
