@@ -11,7 +11,7 @@ import re
 import sys
 
 from .core import FermatReal, _as_rational, _format_order, format_real, iota
-from .errors import FermatError, NonPositiveOrderError, ParseError
+from .errors import FermatError, NonFiniteError, NonPositiveOrderError, ParseError
 from .expr import as_function, evaluate, parse
 from .calculus import derive
 from .order import (
@@ -50,7 +50,10 @@ def _bindings(args) -> dict[str, FermatReal]:
 def _emit(args, text: str, payload: dict) -> int:
     if args.json:  # only --json loads json, so a plain call does not pay for it
         import json
-        text = json.dumps(payload)
+        try:
+            text = json.dumps(payload, allow_nan=False)
+        except ValueError:  # inf and NaN are not JSON (RFC 8259, section 6)
+            raise NonFiniteError("--json: the answer holds inf or NaN, which JSON lacks") from None
     print(text)
     return 0
 
@@ -104,8 +107,8 @@ def _cmd_iota(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    if not args.delta > 0:
-        raise _UsageError("--delta must be > 0")
+    if not 0 < args.delta < math.inf:
+        raise _UsageError("--delta must be > 0 and finite")
     if args.samples < 2:
         raise _UsageError("--samples must be >= 2")
     v = evaluate(parse(args.expr), _bindings(args))

@@ -19,8 +19,9 @@ and so is its decimal exponent's magnitude: every literal's order prints
 within Python's 4,300-digit int to str limit (a product's may not: that
 is a FermatError).
 
-The parser reads tokens by index from parallel lists of kinds, texts and
-offsets.  The evaluator branches on the exact node type and calls
+The parser reads tokens by index from parallel lists of texts and offsets,
+and tells a number, a name and the end of input ``""`` apart by a token's
+first character.  The evaluator branches on the exact node type and calls
 ``core.add`` and the like through the module, so rebinding them reaches it.
 """
 
@@ -43,6 +44,7 @@ _FUNCTION_ARITY["pow"] = 2
 _FUNCTION_ARITY["log"] = 2
 _ARITHMETIC = {"+": lambda x, y: core.add(x, y), "-": lambda x, y: core.sub(x, y),
                "*": lambda x, y: core.mul(x, y), "/": lambda x, y: core.mul(x, core.invert(y))}
+_BINARY_LEVEL = {"+": 0, "-": 0, "*": 1, "/": 1}
 
 
 class Expr:
@@ -135,34 +137,31 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> tuple[list, list, list]:
-    """Parallel lists of token kinds ("number", "name", "op"), texts and
-    offsets, ended by an "eof" token with text "" at ``len(text)``."""
-    kinds, texts, offsets = [], [], []
+def _tokenize(text: str) -> tuple[list, list]:
+    """Parallel lists of token texts and offsets, ended by "" at len(text)."""
+    texts, offsets = [], []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "bad":
             raise ParseError(m.start(kind), "a token", repr(m[kind]))
-        kinds.append(kind)
         texts.append(m[kind])
         offsets.append(m.start(kind))
-    kinds.append("eof")
     texts.append("")
     offsets.append(len(text))
-    return kinds, texts, offsets
+    return texts, offsets
 
 
 class _Parser:
     """Recursive descent over the token lists; ``i`` indexes the next token.
-    An op is known by its text: no number, name or "eof" text "" equals one."""
+    A token's first character tells its kind, and the text "" ends the input."""
 
     def __init__(self, text: str):
-        self.kinds, self.texts, self.offsets = _tokenize(text)
+        self.texts, self.offsets = _tokenize(text)
         self.i = 0
         self.depth = 0
 
     def fail(self, i: int, expected: str):
-        found = "end of input" if self.kinds[i] == "eof" else repr(self.texts[i])
+        found = repr(self.texts[i]) if self.texts[i] else "end of input"
         raise ParseError(self.offsets[i], expected, found)
 
     def expect(self, symbol: str):
@@ -170,19 +169,13 @@ class _Parser:
             self.fail(self.i, repr(symbol))
         self.i += 1
 
-    # expression = term { (+|-) term }
-    def expression(self) -> Expr:
-        node = self.term()
-        while (op := self.texts[self.i]) in ("+", "-"):
-            self.i += 1
-            node = Binary(op, node, self.term())
-        return node
-
-    def term(self) -> Expr:
+    # Precedence climbing: an operator of level >= ``level`` joins, and its right
+    # operand takes only higher levels, so each level is left associative.
+    def expression(self, level: int = 0) -> Expr:
         node = self.factor()
-        while (op := self.texts[self.i]) in ("*", "/"):
+        while (op_level := _BINARY_LEVEL.get(op := self.texts[self.i], -1)) >= level:
             self.i += 1
-            node = Binary(op, node, self.factor())
+            node = Binary(op, node, self.expression(op_level + 1))
         return node
 
     # Unary minus, "^", "(" and call arguments all recurse through factor.
@@ -194,21 +187,17 @@ class _Parser:
             self.i += 1
             node = Unary("-", self.factor())
         else:
-            node = self.power()
+            node = self.atom()
+            if self.texts[self.i] == "^":
+                self.i += 1
+                node = Binary("^", node, self.factor())
         self.depth -= 1
-        return node
-
-    def power(self) -> Expr:
-        node = self.atom()
-        if self.texts[self.i] == "^":
-            self.i += 1
-            node = Binary("^", node, self.factor())
         return node
 
     def atom(self) -> Expr:
         i = self.i
-        kind, text = self.kinds[i], self.texts[i]
-        if kind == "number":
+        text = self.texts[i]
+        if text[:1].isdecimal() or text[:1] == ".":  # \d is any Unicode digit; "" is none
             self.i = i + 1
             return Lit(float(text))
         if text == "(":
@@ -216,7 +205,7 @@ class _Parser:
             node = self.expression()
             self.expect(")")
             return node
-        if kind == "name":
+        if text.isidentifier():
             if text == "dt":
                 return self.dt_literal()
             self.i = i + 1
@@ -253,22 +242,22 @@ class _Parser:
         if negative:
             self.i += 1
         num = self.i
-        if self.kinds[num] != "number":
-            self.fail(num, "a dt order")
         text = texts[num]
-        self.i += 1
         digits, _, exponent = text.replace(".", "").replace("E", "e").partition("e")
+        if not digits.isdecimal():  # no name, op or "" leaves only digits
+            self.fail(num, "a dt order")
+        self.i += 1
         if len(digits) > _MAX_ORDER_DIGITS:
             self.fail(num, f"a dt order of at most {_MAX_ORDER_DIGITS} digits")
         magnitude = exponent.lstrip("+-").lstrip("0")
         if len(magnitude) > 4 or int(magnitude or "0") > _MAX_ORDER_DIGITS:
             self.fail(num, f"a dt order with an exponent of at most {_MAX_ORDER_DIGITS}")
         if texts[self.i] == "/":
-            if "." in text or "e" in text or "E" in text:
+            if not text.isdecimal():  # a ".", "e" or "E" in it
                 self.fail(num, "an integer numerator")
             self.i += 1
             den = self.i
-            if not texts[den].isdigit():  # no name, op or "" is all digits
+            if not texts[den].isdecimal():  # no name, op or "" is all digits
                 self.fail(den, "an integer denominator")
             if len(texts[den]) > _MAX_ORDER_DIGITS:
                 self.fail(den, f"a denominator of at most {_MAX_ORDER_DIGITS} digits")
@@ -277,9 +266,8 @@ class _Parser:
                 self.fail(den, "a nonzero denominator")
             q = Fraction(int(text), int(texts[den]))
         else:
-            if "." in text or "e" in text or "E" in text:
-                if len(digits.lstrip("0")) > 12:
-                    self.fail(num, "a dt order with at most 12 significant digits")
+            if not text.isdecimal() and len(digits.lstrip("0")) > 12:
+                self.fail(num, "a dt order with at most 12 significant digits")
             q = Fraction(text)
         self.expect("]")
         if negative:
@@ -296,7 +284,7 @@ def parse(text: str) -> Expr:
     """Parse expression text, raising ParseError with the offending offset."""
     p = _Parser(text)
     node = p.expression()
-    if p.kinds[p.i] != "eof":
+    if p.texts[p.i]:
         p.fail(p.i, "end of input")
     return node
 

@@ -11,9 +11,11 @@ never cross.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .core import _natural, as_fermat
+from .errors import NonFiniteError
 
 _SVG_W = 480.0
 _SVG_H = 360.0
@@ -29,11 +31,11 @@ class GraphSample(NamedTuple):
 
 
 def graph_samples(x, delta: float, samples: int) -> GraphSample:
-    """Sample the representing curve uniformly in t over [0, delta)."""
+    """Sample the representing curve uniformly in t over [0, delta), finite points only."""
     x = as_fermat(x)
     delta = float(delta)
-    if not delta > 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be > 0 and finite, got {delta}")
     _natural(samples, "samples", least=2)
     exps = [(c, k / x.den) for k, c in zip(x.ks, x.cs)]
     points = []
@@ -42,6 +44,8 @@ def graph_samples(x, delta: float, samples: int) -> GraphSample:
         value = x.std
         for coeff, a in exps:
             value += coeff * t**a
+        if not (math.isfinite(value) and math.isfinite(t)):
+            raise NonFiniteError(f"the curve has a non-finite point ({value!r}, {t!r})")
         points.append((value, t))
     return GraphSample(delta, tuple(points))
 
@@ -63,8 +67,8 @@ def render_svg(sample: GraphSample, label: str = "") -> str:
     span = _SVG_W - 2 * _SVG_MARGIN
     rise = _SVG_H - 2 * _SVG_MARGIN
 
-    def px(v: float) -> float:
-        return _SVG_MARGIN + (v - vmin) / (vmax - vmin) * span
+    def px(v: float) -> float:  # halved, exactly, so a range past binary64 stays finite
+        return _SVG_MARGIN + (v / 2 - vmin / 2) / (vmax / 2 - vmin / 2) * span
 
     def py(t: float) -> float:
         return _SVG_H - _SVG_MARGIN - t / sample.delta * rise

@@ -153,6 +153,13 @@ def test_eval_json_of_an_order_past_the_int_digit_limit_exit_3(capsys, int_digit
     assert run(capsys, "eval", "--json", _LONG) == (3, "", _TOO_LONG)
 
 
+def test_json_of_a_non_finite_value_exit_3(capsys):
+    # Infinity and NaN are not JSON (RFC 8259, section 6); plain text is unchanged
+    assert run(capsys, "eval", "--json", "1e400+dt[2]") == (
+        3, "", "fermat: --json: the answer holds inf or NaN, which JSON lacks\n")
+    assert run(capsys, "eval", "1e400+dt[2]") == (0, "inf + dt[2]\n", "")
+
+
 def test_nan_is_an_evaluation_error(capsys):
     # inf - inf has no value: it must not print "nan" (which does not
     # parse back) or compare below everything in both directions
@@ -288,9 +295,24 @@ def test_plot_bad_delta(tmp_path, capsys):
     )
     assert code == 2 and "--delta" in err
     code, _, err = run(
+        capsys, "plot", "dt[2]", "--delta", "inf", "--out", str(tmp_path / "x.svg")
+    )
+    assert code == 2 and err == "fermat: --delta must be > 0 and finite\n"
+    code, _, err = run(
         capsys, "plot", "dt[2]", "--samples", "1", "--out", str(tmp_path / "x.svg")
     )
     assert code == 2 and err == "fermat: --samples must be >= 2\n"
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_plot_of_a_non_finite_curve_exit_3(tmp_path, capsys):
+    out_path = tmp_path / "curve.csv"
+    code, out, err = run(
+        capsys, "plot", "1e308*dt[1]+1e308*dt[2]", "--delta", "0.9", "--format", "csv",
+        "--out", str(out_path),
+    )
+    assert (code, out) == (3, "") and err.startswith("fermat: the curve has a non-finite point")
+    assert err.count("\n") == 1 and not out_path.exists()
 
 
 def test_plot_io_error(tmp_path, capsys):

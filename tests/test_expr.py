@@ -28,7 +28,7 @@ from fermatreals.errors import (
     ParseError,
     UnboundVariableError,
 )
-from fermatreals.expr import Binary, Lit, as_function
+from fermatreals.expr import Binary, Lit, Unary, Var, as_function
 
 import helpers
 
@@ -78,6 +78,10 @@ def test_parse_error_positions_point_at_first_bad_byte():
         "pow(1)": (5, "2 arguments to pow", "1"),
         "1..2": (2, "end of input", "'.2'"),
         "-" * 101 + "1": (100, "a shallower expression", "'-'"),
+        # the same depth limit through parentheses, ^ and calls
+        "(" * 100 + "1" + ")" * 100: (100, "a shallower expression", "'1'"),
+        "2^" * 100 + "2": (200, "a shallower expression", "'2'"),
+        "sin(" * 100 + "x" + ")" * 100: (400, "a shallower expression", "'x'"),
         # a dt order is bounded before any int is built
         "dt[1e5000]": (3, "a dt order with an exponent of at most 1000", "'1e5000'"),
         "dt[1e10000000]": (3, "a dt order with an exponent of at most 1000", "'1e10000000'"),
@@ -135,6 +139,14 @@ def test_parse_precedence():
     assert evaluate(parse("2^-2")) == from_real(0.25)
     # right associativity
     assert parse("2^3^2") == Binary("^", Lit(2.0), Binary("^", Lit(3.0), Lit(2.0)))
+    # + - and * / are left associative, and * / bind tighter than + -
+    one, two, three, four = Lit(1.0), Lit(2.0), Lit(3.0), Lit(4.0)
+    assert parse("1-2-3") == Binary("-", Binary("-", one, two), three)
+    assert parse("8/4/2") == Binary("/", Binary("/", Lit(8.0), four), two)
+    assert parse("1-2*3+4") == Binary("+", Binary("-", one, Binary("*", two, three)), four)
+    # unary minus binds looser than ^ but tighter than *
+    x = Var("x")
+    assert parse("-x^2*3") == Binary("*", Unary("-", Binary("^", x, two)), three)
 
 
 

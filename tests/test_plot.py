@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import math
 
 import pytest
 
-from fermatreals import add, dt, from_real, graph_samples, mul, render_csv, render_svg
+from fermatreals import (
+    add, dt, evaluate, from_real, graph_samples, mul, parse, render_csv, render_svg,
+)
+from fermatreals.errors import NonFiniteError
 
 
 def test_graph_samples_values_follow_decomposition():
@@ -22,13 +26,29 @@ def test_graph_samples_real_is_vertical_line():
 
 
 def test_graph_samples_validation():
-    with pytest.raises(ValueError):
-        graph_samples(dt(2), 0.0, 8)
+    for delta in (0.0, math.inf):
+        with pytest.raises(ValueError):
+            graph_samples(dt(2), delta, 8)
     with pytest.raises(ValueError):
         graph_samples(dt(2), 0.01, 1)
     for samples in (2.0, True):
         with pytest.raises(ValueError):
             graph_samples(dt(2), 0.01, samples)
+
+
+def test_graph_samples_rejects_non_finite_points():
+    # a coefficient times t**a past binary64, and t itself past it
+    with pytest.raises(NonFiniteError):
+        graph_samples(evaluate(parse("1e308*dt[1]+1e308*dt[2]")), 0.9, 64)
+    with pytest.raises(NonFiniteError):
+        graph_samples(from_real(7.0), 1e308, 64)
+
+
+def test_render_svg_of_a_value_range_past_binary64_is_finite():
+    # every value is finite, but vmax - vmin is not
+    x = evaluate(parse("-1.7e308+1.7e308*dt[1000]+1.7e308*dt[999]"))
+    svg = render_svg(graph_samples(x, 0.9, 4))
+    assert "nan" not in svg and "inf" not in svg
 
 
 def test_dt2_dominates_dt1_pointwise():
