@@ -10,7 +10,7 @@ import math
 import re
 import sys
 
-from .core import FermatReal, _as_rational, _format_order, format_real, iota
+from .core import FermatReal, _as_level, _format_order, format_real, iota
 from .errors import FermatError, NonFiniteError, NonPositiveOrderError, ParseError
 from .expr import as_function, evaluate, parse
 from .calculus import derive
@@ -98,8 +98,9 @@ def _cmd_prodzero(args) -> int:
 
 def _cmd_iota(args) -> int:
     text = args.k.strip()
+    k = math.inf if text in ("inf", "infinity") else text
     try:
-        k = math.inf if text in ("inf", "infinity") else _as_rational(text, "--k")
+        _as_level(k, "--k")
     except ValueError:
         raise _UsageError(f"bad --k value {args.k!r}") from None
     v = iota(evaluate(parse(args.expr), _bindings(args)), k)
@@ -111,6 +112,8 @@ def _cmd_plot(args) -> int:
         raise _UsageError("--delta must be > 0 and finite")
     if args.samples < 2:
         raise _UsageError("--samples must be >= 2")
+    if not math.isfinite(args.delta * (args.samples - 1)):  # graph_samples forms delta * i
+        raise _UsageError("--delta * (--samples - 1) must be finite")
     v = evaluate(parse(args.expr), _bindings(args))
     sample = graph_samples(v, args.delta, args.samples)
     if args.format == "csv":

@@ -488,14 +488,14 @@ def invert(x) -> FermatReal:
     return _taylor(u, lambda r, n: ([s, -s] * (n // 2 + 1))[:n + 1])
 
 
-def _as_level(a, what: str):
-    """Truncation and ideal levels: nonnegative rationals, or math.inf."""
+def _as_level(a, what: str) -> tuple[int, int]:
+    """A truncation or ideal level p/q >= 0 as the pair (p, q); math.inf is (1, 0)."""
     if isinstance(a, float) and math.isinf(a) and a > 0:
-        return math.inf
+        return 1, 0
     q = _as_rational(a, what)
     if q < 0:
         raise ValueError(f"{what} must be >= 0, got {q}")
-    return q
+    return q.as_integer_ratio()
 
 
 def iota(x, k) -> FermatReal:
@@ -503,9 +503,8 @@ def iota(x, k) -> FermatReal:
     order strictly greater than k.  ``iota(x, 0) == x``; k = math.inf
     strips every infinitesimal."""
     x = as_fermat(x)
-    level = _as_level(k, "truncation level")
+    p, q = _as_level(k, "truncation level")
     # Order den/j > p/q, cross-multiplied; level inf is p/q = 1/0.
-    p, q = (1, 0) if level == math.inf else (level.numerator, level.denominator)
     kept = {j: [c] for j, c in zip(x.ks, x.cs) if x.den * q > p * j}
     return _lattice({0: [x.std]} | kept, x.den)
 

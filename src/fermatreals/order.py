@@ -4,6 +4,10 @@ The order of a value is the largest order among its terms (0 for plain
 reals).  Around it live the nilpotency ideals, exact decision procedures
 for products of powers of infinitesimals, the truncation order arising in
 cancellation laws, and the total order on values.
+
+Every decision compares integers on the arithmetic's own exponent lattice,
+the one ``core`` multiplies on (``core._leading`` and ``core._as_level``);
+Fractions appear only in parsed inputs, returned orders and error messages.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import FermatReal, as_fermat, _as_level, _as_rational, _cmp, _natural
+from .core import FermatReal, as_fermat, dt, _as_level, _as_rational, _cmp, _leading, _natural
 from .errors import LengthMismatchError, NoFiniteOrderError, ProductIsZeroError
 
 #: Orders are exact rationals; 0 encodes a standard real, and finite
@@ -38,9 +42,8 @@ def in_ideal(x, a) -> bool:
     """Whether x is nilpotent at level a: zero standard part and order
     < a + 1.  Level math.inf admits every infinitesimal."""
     x = as_fermat(x)
-    if x.std != 0.0:
-        return False
-    return order(x) < _as_level(a, "ideal level") + 1
+    p, q = _as_level(a, "ideal level")
+    return x.std == 0.0 and (not x.ks or x.den * q < (p + q) * x.ks[0])
 
 
 def nilpotency_index(x) -> int | None:
@@ -56,40 +59,47 @@ def nilpotency_index(x) -> int | None:
     return x.den // x.ks[0] + 1 if x.ks else 1
 
 
-def _reciprocal_order_sum(orders: Sequence, exps: Sequence[int]) -> Fraction:
+def _lattice_sum(pairs: list[tuple[Fraction, int]]) -> tuple[int, int]:
+    """sum(i / w) over (order w >= 1, natural i) pairs as s/den on the lattice of the dt(w)."""
+    den, kmin = _leading([dt(w) for w, _ in pairs])
+    return sum(i * k for (_, i), k in zip(pairs, kmin)), den
+
+
+def _reciprocal_order_sum(orders: Sequence, exps: Sequence[int]) -> tuple[int, int]:
     if len(orders) != len(exps) or not orders:
         raise LengthMismatchError(
             f"need equal nonzero lengths, got {len(orders)} orders and "
             f"{len(exps)} exponents"
         )
-    total = Fraction(0)
+    pairs = []
     for w, i in zip(orders, exps):
         wq = _as_rational(w, "factor order")
         if wq < 1:
             raise ValueError(f"factor orders must be >= 1, got {wq}")
-        total += Fraction(_natural(i, "power exponent", least=1)) / wq
-    return total
+        pairs.append((wq, _natural(i, "power exponent", least=1)))
+    return _lattice_sum(pairs)
 
 
 def product_power_zero(orders: Sequence, exps: Sequence[int]) -> bool:
     """Decide whether a product of powers of nonzero infinitesimals is 0.
 
     For factors of orders w_k raised to naturals i_k, the product
-    vanishes exactly when sum(i_k / w_k) > 1.  The test is exact
-    rational arithmetic and agrees with actually multiplying out the
-    corresponding dt generators.
+    vanishes exactly when sum(i_k / w_k) > 1.  The test is _poly's, in
+    integers on the generators' exponent lattice, and agrees with
+    actually multiplying out the corresponding dt generators.
     """
-    return _reciprocal_order_sum(orders, exps) > 1
+    s, den = _reciprocal_order_sum(orders, exps)
+    return s > den
 
 
 def product_power_order(orders: Sequence, exps: Sequence[int]) -> Fraction:
     """Order of a nonzero product of powers: 1 / sum(i_k / w_k)."""
-    total = _reciprocal_order_sum(orders, exps)
-    if total > 1:
+    s, den = _reciprocal_order_sum(orders, exps)
+    if s > den:
         raise ProductIsZeroError(
-            f"product of powers is zero: reciprocal-order sum {total} exceeds 1"
+            f"product of powers is zero: reciprocal-order sum {Fraction(s, den)} exceeds 1"
         )
-    return 1 / total
+    return Fraction(den, s)
 
 
 def ideal_of_product(orders: Sequence, exps: Sequence[int], p) -> bool:
@@ -98,8 +108,8 @@ def ideal_of_product(orders: Sequence, exps: Sequence[int], p) -> bool:
     pq = _as_rational(p, "ideal level")
     if pq <= 0:
         raise ValueError(f"ideal level must be > 0, got {pq}")
-    total = _reciprocal_order_sum(orders, exps)
-    return Fraction(1, 1) / (pq + 1) < total <= 1
+    (s, den), (a, b) = _reciprocal_order_sum(orders, exps), pq.as_integer_ratio()
+    return b * den < (a + b) * s <= (a + b) * den  # b/(a+b) < s/den <= 1
 
 
 def cancellation_order(j: Sequence[int], alpha: Sequence) -> Fraction:
@@ -116,18 +126,19 @@ def cancellation_order(j: Sequence[int], alpha: Sequence) -> Fraction:
         )
     if all(ji == 0 for ji in j):
         raise ValueError("power vector must not be all zeros")
-    total = Fraction(0)
+    pairs = []
     for ji, ai in zip(j, alpha):
         _natural(ji, "power")
         aq = _as_rational(ai, "nilpotency level")
         if aq <= 0:
             raise ValueError(f"nilpotency levels must be > 0, got {aq}")
-        total += Fraction(ji) / (aq + 1)
-    if total >= 1:
+        pairs.append((aq + 1, ji))
+    s, den = _lattice_sum(pairs)
+    if s >= den:
         raise NoFiniteOrderError(
-            f"no finite truncation order: level sum {total} reaches 1"
+            f"no finite truncation order: level sum {Fraction(s, den)} reaches 1"
         )
-    return 1 / (1 - total)
+    return Fraction(den, den - s)
 
 
 def compare(x, y) -> Verdict:

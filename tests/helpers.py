@@ -20,6 +20,8 @@ from fermatreals import (
     order,
     pow_nat,
 )
+from fermatreals.core import _as_rational, _natural, as_fermat
+from fermatreals.errors import LengthMismatchError, NoFiniteOrderError, ProductIsZeroError
 
 F = Fraction
 
@@ -434,6 +436,95 @@ def dt_chain(orders, exps) -> FermatReal:
 def first_differential(x: FermatReal) -> FermatReal:
     """The highest-order term alone; zero for plain reals."""
     return FermatReal(0.0, x.terms[:1])
+
+
+# -- the Fraction forms of the order decisions ------------------------------
+#
+# order.py decides on core's integer exponent lattice.  These are the same
+# decisions as Fraction sums, with the same argument checks in the same
+# order; they must agree with it in value, exception type and message.
+
+def _fraction_level(a, what: str):
+    if isinstance(a, float) and math.isinf(a) and a > 0:
+        return math.inf
+    q = _as_rational(a, what)
+    if q < 0:
+        raise ValueError(f"{what} must be >= 0, got {q}")
+    return q
+
+
+def fraction_in_ideal(x, a) -> bool:
+    """The level is checked whatever x is, then order(x) < a + 1."""
+    x = as_fermat(x)
+    level = _fraction_level(a, "ideal level")
+    return x.std == 0.0 and (x.terms[0].order if x.terms else F(0)) < level + 1
+
+
+def _fraction_reciprocal_order_sum(orders, exps) -> Fraction:
+    if len(orders) != len(exps) or not orders:
+        raise LengthMismatchError(
+            f"need equal nonzero lengths, got {len(orders)} orders and "
+            f"{len(exps)} exponents"
+        )
+    total = F(0)
+    for w, i in zip(orders, exps):
+        wq = _as_rational(w, "factor order")
+        if wq < 1:
+            raise ValueError(f"factor orders must be >= 1, got {wq}")
+        total += F(_natural(i, "power exponent", least=1)) / wq
+    return total
+
+
+def fraction_product_power_zero(orders, exps) -> bool:
+    return _fraction_reciprocal_order_sum(orders, exps) > 1
+
+
+def fraction_product_power_order(orders, exps) -> Fraction:
+    total = _fraction_reciprocal_order_sum(orders, exps)
+    if total > 1:
+        raise ProductIsZeroError(
+            f"product of powers is zero: reciprocal-order sum {total} exceeds 1"
+        )
+    return 1 / total
+
+
+def fraction_ideal_of_product(orders, exps, p) -> bool:
+    pq = _as_rational(p, "ideal level")
+    if pq <= 0:
+        raise ValueError(f"ideal level must be > 0, got {pq}")
+    total = _fraction_reciprocal_order_sum(orders, exps)
+    return F(1, 1) / (pq + 1) < total <= 1
+
+
+def fraction_cancellation_order(j, alpha) -> Fraction:
+    if len(j) != len(alpha) or not j:
+        raise LengthMismatchError(
+            f"need equal nonzero lengths, got {len(j)} powers and "
+            f"{len(alpha)} levels"
+        )
+    if all(ji == 0 for ji in j):
+        raise ValueError("power vector must not be all zeros")
+    total = F(0)
+    for ji, ai in zip(j, alpha):
+        _natural(ji, "power")
+        aq = _as_rational(ai, "nilpotency level")
+        if aq <= 0:
+            raise ValueError(f"nilpotency levels must be > 0, got {aq}")
+        total += F(ji) / (aq + 1)
+    if total >= 1:
+        raise NoFiniteOrderError(
+            f"no finite truncation order: level sum {total} reaches 1"
+        )
+    return 1 / (1 - total)
+
+
+def outcome(fn, *args):
+    """``("ok", type, value)``, or ``("raised", type, message)`` for an exception."""
+    try:
+        value = fn(*args)
+        return "ok", type(value), value
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
 
 
 # -- the nine ideal/order property checks ----------------------------------

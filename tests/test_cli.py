@@ -115,6 +115,8 @@ def test_iota(capsys):
     assert code == 0 and out == "3\n"
     code, _, err = run(capsys, "iota", "dt[2]", "--k", "abc")
     assert code == 2 and err == "fermat: bad --k value 'abc'\n"
+    code, out, err = run(capsys, "iota", "dt[2]", "--k=-1")
+    assert (code, out, err) == (2, "", "fermat: bad --k value '-1'\n")
 
 
 def test_prodzero_bad_order_is_an_evaluation_error(capsys):
@@ -302,6 +304,14 @@ def test_plot_bad_delta(tmp_path, capsys):
         capsys, "plot", "dt[2]", "--samples", "1", "--out", str(tmp_path / "x.svg")
     )
     assert code == 2 and err == "fermat: --samples must be >= 2\n"
+    # graph_samples forms delta * i for i < samples, which must stay finite
+    for argv in (("--delta", "1e308"), ("--delta", "1e307"),
+                 ("--delta", "1e306", "--samples", "1000")):
+        code, _, err = run(capsys, "plot", "7", *argv, "--out", str(tmp_path / "x.svg"))
+        assert code == 2 and err == "fermat: --delta * (--samples - 1) must be finite\n"
+    code, _, _ = run(capsys, "plot", "7", "--delta", "1e306", "--samples", "100",
+                     "--out", str(tmp_path / "y.svg"))
+    assert code == 0 and (tmp_path / "y.svg").exists()
     assert not (tmp_path / "x.svg").exists()
 
 

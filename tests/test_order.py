@@ -52,6 +52,16 @@ def test_in_ideal_examples():
     assert in_ideal(ZERO, 0)
 
 
+def test_in_ideal_checks_its_level_whatever_x_is():
+    for x in (add(1, dt(2)), 2.5, dt(2)):
+        with pytest.raises(ValueError, match="invalid ideal level: 'abc'"):
+            in_ideal(x, "abc")
+        with pytest.raises(TypeError, match="ideal level must be exact"):
+            in_ideal(x, 2.5)
+        with pytest.raises(ValueError, match="ideal level must be >= 0, got -1"):
+            in_ideal(x, -1)
+
+
 def test_nilpotency_index_examples():
     assert nilpotency_index(dt("21/10")) == 3
     assert nilpotency_index(dt(1)) == 2
@@ -108,6 +118,101 @@ def test_cancellation_order_examples():
         cancellation_order([1, 1], [1])
     with pytest.raises(ValueError):
         cancellation_order([0], [1])
+
+
+# Orders and levels of 1000 digits, whose common lattice can pass the 4,300
+# digits Python prints, exponents 0 and 10**20, level math.inf, and bad
+# arguments of every kind, several to a call, so that which one is reported
+# first is checked too.
+_BIG = 10**999
+_BAD_ORDERS = (0, F(1, 2), -1, F(999, 1000), 2.5, True, "x", "1/0", None)
+_BAD_EXPS = (0, -1, True, 2.0, "1", None)
+_BAD_LEVELS = (0, -1, 2.5, math.inf, -math.inf, True, "x", "1/0", None)
+
+
+def _pick(rng, bad, good):
+    return rng.choice(bad) if rng.random() < 0.08 else good
+
+
+def _rand_rational(rng):
+    """A rational >= 1: small, decimal text, or of 1000 digits."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.randint(1, 6)
+    if kind == 1:
+        q = rng.randint(1, 4)
+        return F(rng.randint(q, 6 * q), q)
+    if kind == 2:
+        return rng.choice(("3/2", "2.1", "21/10", "6", " 7/3 "))
+    if kind == 3:
+        return _BIG + rng.randrange(10**6)
+    return F(_BIG + rng.randrange(10**6), rng.choice((1, 3, _BIG // 7 + 1)))
+
+
+def _rand_lengths(rng, n):
+    """n, or now and then a length that does not match, or 0."""
+    r = rng.random()
+    return (n, n) if r < 0.94 else (n, n + rng.choice((-1, 1))) if r < 0.98 else (0, 0)
+
+
+def _product_args(rng):
+    near = rng.random() < 0.15  # 1000-digit orders with i/w summing near 1
+    n, m = _rand_lengths(rng, rng.randint(1, 6 if near else 4))
+    if near:
+        orders = [_BIG + rng.randrange(10**6) for _ in range(n)]
+        exps = [w // n + rng.choice((-1, 0, 1)) for w in orders]
+    else:
+        orders = [_pick(rng, _BAD_ORDERS, _rand_rational(rng)) for _ in range(n)]
+        exps = [_pick(rng, _BAD_EXPS, rng.choice((1, 1, 2, 3, 10**20))) for _ in range(n)]
+    return orders, (exps + [1])[:m]
+
+
+def _level(rng, near=None):
+    """An ideal or nilpotency level > 0, at times the boundary value near."""
+    kind = rng.randrange(5)
+    if kind == 0 and near is not None and near > 0:
+        return near
+    if kind <= 1:
+        return F(rng.randint(1, 12), rng.randint(1, 4))
+    if kind == 2:
+        return rng.choice((_BIG, F(1, _BIG), F(_BIG, 3), "3/2"))
+    return rng.randint(1, 5)
+
+
+def test_order_decisions_match_the_fraction_oracle():
+    """order.py's lattice decisions against helpers' Fraction sums: the same
+    value, or the same exception type and message, on 12,500 seeded calls."""
+    rng = random.Random(16)
+    seen = {}
+    for _ in range(2500):
+        orders, exps = _product_args(rng)
+        total = helpers.outcome(helpers._fraction_reciprocal_order_sum, orders, exps)
+        near = 1 / total[2] - 1 if total[0] == "ok" else None  # 1/(p+1) == total
+        p = _pick(rng, _BAD_LEVELS, _level(rng, near))
+        n, m = _rand_lengths(rng, rng.randint(1, 3))
+        j = [_pick(rng, _BAD_EXPS[1:], rng.choice((0, 1, 1, 2, 10**20, _BIG))) for _ in range(n)]
+        alpha = [_pick(rng, _BAD_LEVELS, _level(rng, _BIG - 1 if ji == _BIG else None))
+                 for ji in j]
+        x = rng.choice((helpers.rand_fermat(rng), helpers.rand_wide(rng), dt(_BIG + 1),
+                        dt(F(_BIG, 3)), ZERO, add(1, dt(2)), 2.5, 3, "abc", None))
+        boundary = 1 if isinstance(x, str) or x is None else order(x) - 1
+        level = rng.choice((_pick(rng, _BAD_LEVELS, _level(rng)), math.inf, 0, boundary))
+        for fn, oracle, args in (
+            (product_power_zero, helpers.fraction_product_power_zero, (orders, exps)),
+            (product_power_order, helpers.fraction_product_power_order, (orders, exps)),
+            (ideal_of_product, helpers.fraction_ideal_of_product, (orders, exps, p)),
+            (cancellation_order, helpers.fraction_cancellation_order, (j, (alpha + [1])[:m])),
+            (in_ideal, helpers.fraction_in_ideal, (x, level)),
+        ):
+            got = helpers.outcome(fn, *args)
+            assert got == helpers.outcome(oracle, *args), (fn.__name__, args)
+            kind = got[0] if got[0] == "raised" else got[2] if got[1] is bool else "ok"
+            seen[fn.__name__, kind] = seen.get((fn.__name__, kind), 0) + 1
+    assert sum(seen.values()) == 12500
+    for name in ("product_power_zero", "ideal_of_product", "in_ideal"):
+        assert seen[name, True] and seen[name, False] and seen[name, "raised"]
+    for name in ("product_power_order", "cancellation_order"):
+        assert seen[name, "ok"] and seen[name, "raised"]
 
 
 def test_compare_examples():
