@@ -89,7 +89,7 @@ def _atan_tower(r: float, n: int, out: list) -> None:
     one Gaussian-integer step per i, with d**i (d a power of two) a shift."""
     p, q = math.atan(r).as_integer_ratio()
     out.append(p / q)
-    m, d = r.as_integer_ratio() if n else (0, 1)
+    m, d = r.as_integer_ratio()
     mm, k, re, im, q = m * m + d * d, d.bit_length() - 1, -1, 0, 1
     for i in range(1, n + 1):
         re, im, q = im * d - re * m, -re * d - im * m, q * mm
@@ -102,10 +102,9 @@ def _power_tower(c: Fraction, value, r: float, n: int, out: list) -> None:
     powers of r run to megabits), with a_i = C(c, i) * r**(c-i) for i < c so
     that r = 0 divides nothing there; else from ``value(r)``, which for sqrt
     is math.sqrt, since ``r**0.5`` is not always sqrt(r)."""
-    p, q = c.numerator, c.denominator
+    (p, q), (m, d) = c.as_integer_ratio(), r.as_integer_ratio()
     exact = q == 1 and abs(p) <= 1024
     if exact:
-        m, d = r.as_integer_ratio()
         for i in range(min(p, n + 1)):
             out.append(math.comb(p, i) * m ** (p - i) / d ** (p - i))
         if len(out) > n:
@@ -114,7 +113,6 @@ def _power_tower(c: Fraction, value, r: float, n: int, out: list) -> None:
     else:
         a, b = value(r).as_integer_ratio()
     out.append(a / b)
-    m, d = r.as_integer_ratio() if len(out) <= n else (0, 1)
     m, d = abs(m), -d if m < 0 else d  # b keeps its sign: a zero a_i stays 0.0
     for i in range(len(out) - 1, n):
         a, b = a * (p - i * q) * d, b * (i + 1) * q * m
@@ -125,7 +123,7 @@ def _ln_tower(r: float, n: int, out: list) -> None:
     """a_i = (-1)**(i-1) / (i * r**i), i >= 1, on the integers of r = m/d."""
     p, q = math.log(r).as_integer_ratio()
     out.append(p / q)
-    (m, d), a, b = r.as_integer_ratio(), -1, 1  # r is finite: log(r) was
+    (m, d), a, b = r.as_integer_ratio(), -1, 1
     for i in range(1, n + 1):
         a, b = -a * d, b * m
         out.append(a / (b * i))
@@ -206,18 +204,11 @@ def ext_apply(f: ElementaryFn, x) -> FermatReal:
     Runs core's Taylor kernel, the one ``invert`` uses, on ``f.tower``,
     which it asks once for a_0 .. a_N: an error names the first bad
     coefficient.  Domain membership is checked on the standard part only,
-    which infinitesimal perturbations never leave.  sin, cos and tan have no
-    value at an infinite standard part: that is NonFiniteError, as is a
-    coefficient past binary64."""
+    which infinitesimal perturbations never leave, and which is finite, as
+    every value is.  A coefficient past binary64 is NonFiniteError."""
     x = as_fermat(x)
     r = x.std
-    try:
-        inside = f.domain(r)
-        if inside and math.isinf(r):
-            f.tower(r, 0)  # a_0's error there comes before any power's
-    except ValueError:
-        raise NonFiniteError(f"{f.name}: no value at standard part {r:g}") from None
-    if not inside:
+    if not f.domain(r):
         raise DomainError(
             f"{f.name}: standard part {format(r, 'g')} outside domain "
             f"({f.domain_desc})"

@@ -11,7 +11,7 @@ import re
 import sys
 
 from .core import FermatReal, _as_level, _format_order, format_real, iota
-from .errors import FermatError, NonFiniteError, NonPositiveOrderError, ParseError
+from .errors import FermatError, NonPositiveOrderError, ParseError
 from .expr import as_function, evaluate, parse
 from .calculus import derive
 from .order import (
@@ -50,10 +50,7 @@ def _bindings(args) -> dict[str, FermatReal]:
 def _emit(args, text: str, payload: dict) -> int:
     if args.json:  # only --json loads json, so a plain call does not pay for it
         import json
-        try:
-            text = json.dumps(payload, allow_nan=False)
-        except ValueError:  # inf and NaN are not JSON (RFC 8259, section 6)
-            raise NonFiniteError("--json: the answer holds inf or NaN, which JSON lacks") from None
+        text = json.dumps(payload, allow_nan=False)
     print(text)
     return 0
 

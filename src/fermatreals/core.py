@@ -16,12 +16,14 @@ truncation is ``k <= den``.  ``FermatReal.terms`` is an exact
 floats compared exactly: a term exists iff its coefficient is not ``0.0``.
 Operations append float addends to buckets ``k -> [addends]`` (k = 0 is the
 standard part) and round each bucket once with ``math.fsum`` (a lone addend
-is its own fsum); a sum with no finite binary64 value, NaN included, raises
-NonFiniteError.  ``_taylor`` (:func:`invert`, smooth extensions) and
-``_poly`` (``calculus``' polynomials) read one power table, ``_powers``: the
-list [h**0, h**1, ..., h**N], each power a ``{k: c}`` dict on one lattice.
-``_taylor`` then asks its coefficient tower once for the list a_0 .. a_N
-and folds a_i * h**i into one set of buckets.
+is its own fsum).  Every value is finite, as the Fermat reals have no
+infinite element: ``from_real`` and the bucket sums are the only gates, and
+they reject ±inf and NaN with NonFiniteError.  ``_taylor`` (:func:`invert`,
+smooth extensions) and ``_poly`` (``calculus``' polynomials) read one power
+table, ``_powers``: the list [h**0, h**1, ..., h**N], each power a
+``{k: c}`` dict on one lattice.  ``_taylor`` then asks its coefficient
+tower once for the list a_0 .. a_N and folds a_i * h**i into one set of
+buckets.
 Real operands of ``add``, ``mul``, ``invert`` and ``_taylor`` take a short
 cut, ``from_real`` of one float, which is the general result bit for bit.
 
@@ -58,7 +60,7 @@ def _as_rational(value, what: str) -> Fraction:
 
 def format_real(v: float) -> str:
     """Shortest round-trip decimal; integral values drop the trailing .0."""
-    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
+    if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 
@@ -229,9 +231,13 @@ ONE = _make(1.0, 1, (), ())
 
 
 def from_real(r: float) -> FermatReal:
-    """Embed an ordinary real; NaN raises NonFiniteError."""
-    r = float(r) + 0.0
-    if r != r:
+    """Embed an ordinary real; one with no finite binary64 value (±inf, NaN,
+    an int or Fraction past the largest float) raises NonFiniteError."""
+    try:
+        r = float(r) + 0.0
+    except OverflowError:
+        r = math.inf
+    if r - r != 0.0:
         raise NonFiniteError("standard part has no finite binary64 value")
     return _make(r, 1, (), ())
 
@@ -241,10 +247,8 @@ def _try_fermat(value):
         return value
     if isinstance(value, bool):
         return None
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float, Fraction)):
         return from_real(value)
-    if isinstance(value, Fraction):
-        return from_real(float(value))
     return None
 
 
@@ -304,14 +308,14 @@ def _lattice(buckets: dict, den: int) -> FermatReal:
 
 def _sums(buckets: dict, den: int) -> dict:
     """``k -> fsum(buckets[k])`` by increasing k, for each nonzero sum (a lone
-    addend, inf too, is its own fsum); a sum with no finite binary64 value
-    (overflow, inf - inf, NaN) raises."""
+    addend is its own fsum); a sum with no finite binary64 value (overflow,
+    ±inf, NaN) raises."""
     sums = {}
     try:
         for k in sorted(buckets):
             s = buckets[k]
             c = s[0] if len(s) == 1 else math.fsum(s)
-            if c != c:
+            if c - c != 0.0:  # ±inf or NaN
                 raise ValueError
             if c != 0.0:
                 sums[k] = c

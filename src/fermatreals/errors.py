@@ -44,7 +44,7 @@ class NotInIdealError(FermatError, ValueError):
 
 
 class NonFiniteError(FermatError):
-    """A coefficient sum whose exact value has no finite binary64 value."""
+    """An input, coefficient sum or Taylor coefficient with no finite binary64 value."""
 
 
 class UnboundVariableError(FermatError):

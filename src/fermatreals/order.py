@@ -7,7 +7,7 @@ cancellation laws, and the total order on values.
 
 Every decision compares integers on the arithmetic's own exponent lattice,
 the one ``core`` multiplies on (``core._leading`` and ``core._as_level``);
-Fractions appear only in parsed inputs, returned orders and error messages.
+Fractions appear only in parsed inputs and returned orders.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .core import FermatReal, as_fermat, dt, _as_level, _as_rational, _cmp, _leading, _natural
+from .core import (FermatReal, as_fermat, dt, _as_level, _as_rational, _cmp, _format_order,
+                   _leading, _natural, _printable)
 from .errors import LengthMismatchError, NoFiniteOrderError, ProductIsZeroError
 
 #: Orders are exact rationals; 0 encodes a standard real, and finite
@@ -96,9 +97,8 @@ def product_power_order(orders: Sequence, exps: Sequence[int]) -> Fraction:
     """Order of a nonzero product of powers: 1 / sum(i_k / w_k)."""
     s, den = _reciprocal_order_sum(orders, exps)
     if s > den:
-        raise ProductIsZeroError(
-            f"product of powers is zero: reciprocal-order sum {Fraction(s, den)} exceeds 1"
-        )
+        raise ProductIsZeroError("product of powers is zero: reciprocal-order sum "
+                                 f"{_printable(lambda: _format_order(s, den))} exceeds 1")
     return Fraction(den, s)
 
 
@@ -135,9 +135,8 @@ def cancellation_order(j: Sequence[int], alpha: Sequence) -> Fraction:
         pairs.append((aq + 1, ji))
     s, den = _lattice_sum(pairs)
     if s >= den:
-        raise NoFiniteOrderError(
-            f"no finite truncation order: level sum {Fraction(s, den)} reaches 1"
-        )
+        raise NoFiniteOrderError("no finite truncation order: level sum "
+                                 f"{_printable(lambda: _format_order(s, den))} reaches 1")
     return Fraction(den, den - s)
 
 

@@ -17,6 +17,7 @@ from fermatreals import (
     ZERO,
     Verdict,
     add,
+    cancellation_order,
     canonicalize,
     compare,
     derive,
@@ -33,6 +34,7 @@ from fermatreals import (
     pow_const,
     pow_nat,
     power,
+    product_power_order,
     product_power_zero,
     sub,
     taylor_multi,
@@ -41,9 +43,11 @@ from fermatreals import calculus, core
 from fermatreals.errors import (
     DomainError,
     FermatError,
+    NoFiniteOrderError,
     NonFiniteError,
     NotInIdealError,
     NotSmoothAtPointError,
+    ProductIsZeroError,
 )
 
 import helpers
@@ -137,12 +141,12 @@ def _outcome(fn):
 def test_integer_towers_equal_their_fraction_forms():
     # Each tower runs on integers; bit for bit and error for error its a_i
     # is the Fraction form of f_i(r) divided by i! and rounded once, from the
-    # smallest subnormal to the largest float, negative r and 0, inf, nan
+    # smallest subnormal to the largest float, negative r, 0 and nan
     # included.  The list stops at the first error: an overflow is
     # NonFiniteError naming that index, any other error is raised as it is.
     rng = random.Random(41)
     rs = [5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-10, 0.3, 0.5, 1.0,
-          2.0, 1e10, 1e300, 1.7976931348623157e308, 0.0, math.inf, math.nan]
+          2.0, 1e10, 1e300, 1.7976931348623157e308, 0.0, math.nan]
     rs += [rng.uniform(0.01, 10.0) for _ in range(10)]
     rs += [math.ldexp(rng.random(), rng.randint(-1074, 1023)) for _ in range(10)]
     rs += [-r for r in rs]
@@ -840,6 +844,14 @@ def test_an_order_past_the_int_digit_limit_keeps_each_errors_type(int_digit_limi
     with pytest.raises(NotSmoothAtPointError) as info:
         derive(lambda x: long if x.ks else ZERO, 0.5)
     assert str(info.value) == f"increment at 0.5 has residual terms of order != 1: {gone}"
+    # the exact sums of the order decisions: five orders of 1000 digits give
+    # a denominator of about 5000
+    with pytest.raises(ProductIsZeroError) as info:
+        product_power_order([10**999 + 2 * i + 1 for i in range(5)], [10**999] * 5)
+    assert str(info.value) == f"product of powers is zero: reciprocal-order sum {gone} exceeds 1"
+    with pytest.raises(NoFiniteOrderError) as info:
+        cancellation_order([10**999] * 5, [10**999 + 2 * i for i in range(5)])
+    assert str(info.value) == f"no finite truncation order: level sum {gone} reaches 1"
 
 
 def test_taylor_multi_partials_errors_propagate():

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -156,10 +157,33 @@ def test_eval_json_of_an_order_past_the_int_digit_limit_exit_3(capsys, int_digit
 
 
 def test_json_of_a_non_finite_value_exit_3(capsys):
-    # Infinity and NaN are not JSON (RFC 8259, section 6); plain text is unchanged
-    assert run(capsys, "eval", "--json", "1e400+dt[2]") == (
-        3, "", "fermat: --json: the answer holds inf or NaN, which JSON lacks\n")
-    assert run(capsys, "eval", "1e400+dt[2]") == (0, "inf + dt[2]\n", "")
+    # no value is infinite, so --json never meets Infinity or NaN, which are
+    # not JSON (RFC 8259, section 6): the literal is refused, as in plain text
+    for argv in (("--json", "1e400+dt[2]"), ("1e400+dt[2]",)):
+        assert run(capsys, "eval", *argv) == (
+            3, "", "fermat: standard part has no finite binary64 value\n"), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "1e400"),
+    ("eval", "(1e200)*(1e200)"),
+    ("eval", "2^100000000"),
+    ("eval", "1e400+dt[2]"),
+    ("eval", "(1e-300+dt[3])^-1"),
+    ("eval", "1/5e-324"),
+    ("eval", "atan(1e400)"),
+    ("eval", "exp(-1e400)"),
+    ("eval", "--json", "1e400+dt[2]"),
+])
+def test_a_value_past_binary64_exits_3(capsys, argv):
+    # a literal, operand or result past binary64 is NonFiniteError, never
+    # an inf printed as an answer
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0, argv
+    assert (code, out) == (3, ""), argv
+    assert err.startswith("fermat: ") and err.endswith(" has no finite binary64 value\n"), err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
 
 
 def test_nan_is_an_evaluation_error(capsys):
@@ -174,33 +198,28 @@ def test_nan_is_an_evaluation_error(capsys):
 
 def test_smooth_extension_overflow_is_typed(capsys):
     # a tower value or a Taylor coefficient past binary64 is exit 3, not a
-    # traceback
-    for expr in ("exp(1000)", "recip(1e-300+dt[3])", "atan(1e400+dt[2])",
-                 "recip(1e400+dt[2])", "ln(1e400+dt[2])", "sqrt(1e400+dt[2])"):
+    # traceback; an argument past binary64 is refused before the function
+    for expr in ("exp(1000)", "recip(1e-300+dt[3])", "sqrt(1e-300+dt[3])"):
         code, out, err = run(capsys, "eval", expr)
         assert (code, out) == (3, ""), expr
         name = expr.split("(")[0]
         assert err.startswith(f"fermat: {name}: Taylor coefficient "), err
         assert err.endswith(" has no finite binary64 value\n"), err
         assert "Traceback" not in err
+    for expr in ("atan(1e400+dt[2])", "recip(1e400+dt[2])", "ln(1e400+dt[2])",
+                 "sqrt(1e400+dt[2])"):
+        assert run(capsys, "eval", expr) == (
+            3, "", "fermat: standard part has no finite binary64 value\n"), expr
 
 
 def test_trig_of_an_infinite_standard_part_is_typed(capsys):
-    # sin, cos and tan have no value at inf: a NonFiniteError naming the
-    # function, not math's untyped "math domain error"
-    for expr in ("sin(1e400)", "tan(1e400)", "cos(1e400+dt[2])", "sin(-1e400)"):
-        code, out, err = run(capsys, "eval", expr)
-        assert (code, out) == (3, ""), expr
-        name = expr.split("(")[0]
-        assert err.startswith(f"fermat: {name}: ") and err.count("\n") == 1, err
-        assert "domain error" not in err and "Traceback" not in err, err
-    # functions with a limit at an infinite standard part keep it
-    assert run(capsys, "eval", "atan(1e400)") == (0, "1.5707963267948966\n", "")
-    assert run(capsys, "eval", "exp(-1e400)") == (0, "0\n", "")
-    # outside a domain at -inf stays a domain error
-    for expr in ("ln(-1e400)", "sqrt(-1e400+dt[2])"):
-        code, out, err = run(capsys, "eval", expr)
-        assert (code, out) == (3, "") and "outside domain" in err, err
+    # there is no infinite standard part: its literal is NonFiniteError
+    # before any function sees it, whether or not the function has a limit
+    # there, not math's untyped "math domain error" or a domain error
+    for expr in ("sin(1e400)", "tan(1e400)", "cos(1e400+dt[2])", "sin(-1e400)",
+                 "atan(1e400)", "exp(-1e400)", "ln(-1e400)", "sqrt(-1e400+dt[2])"):
+        assert run(capsys, "eval", expr) == (
+            3, "", "fermat: standard part has no finite binary64 value\n"), expr
 
 
 def test_taylor_sums_past_170_factorial(capsys):

@@ -64,18 +64,33 @@ def test_canonicalize_non_finite_sum_is_typed():
 
 
 def test_nan_never_enters_a_value():
-    nan, inf = math.nan, from_real(math.inf)
+    # nor does +-inf: the Fermat reals have no infinite element, so an input
+    # or a result past binary64 raises where the value would be made
+    nan, inf, big = math.nan, math.inf, 1.7976931348623157e308
     for make in (
         lambda: from_real(nan),
+        lambda: from_real(inf),
+        lambda: from_real(-inf),
         lambda: canonicalize(nan, []),
-        lambda: sub(inf, inf),
-        lambda: mul(inf, 0),
-        lambda: mul(inf, dt(2)),
+        lambda: canonicalize(-inf, [(1.0, F(1, 2))]),
+        lambda: add(big, big),
+        lambda: sub(-big, big),
+        lambda: mul(big, 2),
+        lambda: mul(add(big, dt(2)), 2),
+        lambda: pow_nat(2, 1024),
+        lambda: from_real(10**400),
+        lambda: dt(2) + 10**400,
+        lambda: 10**400 * dt(2),
+        lambda: core.as_fermat(F(10**400)),
+        lambda: core.as_fermat(F(-(10**400), 3)),
     ):
-        with pytest.raises(NonFiniteError, match="standard part"):
+        with pytest.raises(NonFiniteError, match="^standard part has no finite binary64 value$"):
             make()
-    with pytest.raises(NonFiniteError, match=r"coefficient of dt\[3/2\]"):
-        canonicalize(1.0, [(nan, F(2, 3))])
+    for bad in (nan, inf, -inf):
+        with pytest.raises(NonFiniteError, match=r"^coefficient of dt\[3/2\] has no finite"):
+            canonicalize(1.0, [(bad, F(2, 3))])
+    with pytest.raises(NonFiniteError, match=r"^coefficient of dt\[2\] has no finite"):
+        mul(add(1, mul(big, dt(2))), 2)
 
 
 def test_canonicalize_folds_exponent_zero_into_std():
@@ -369,8 +384,15 @@ def test_invert_deep_truncation_is_the_exact_alternating_series():
     assert invert(add(1, dt(200))) == want
 
 
-def test_invert_infinite_standard_part_is_zero():
-    assert invert(canonicalize(math.inf, [(1.0, F(1, 2))])) == ZERO
+def test_invert_past_binary64_is_typed():
+    # 1/std or a coefficient of the inverse past binary64 raises; there is
+    # no infinite standard part whose inverse could be 0
+    with pytest.raises(NonFiniteError, match="^standard part has no finite"):
+        invert(5e-324)
+    with pytest.raises(NonFiniteError, match="^standard part has no finite"):
+        invert(-5e-324)
+    with pytest.raises(NonFiniteError, match=r"^coefficient of dt\[3/2\] has no finite"):
+        invert(add(1e-300, dt(3)))
 
 
 def test_invert_round_trip():
@@ -393,7 +415,7 @@ def _outcome(fn):
 def test_real_operands_give_the_general_kernels_bits(monkeypatch):
     # -0.0 survives as a standard part only when built by _make
     points = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, 1e308,
-              -1.7976931348623157e308, math.inf, -math.inf)
+              -1.7976931348623157e308)
     reals = [core._make(r, 1, (), ()) for r in points]
     for x, y in itertools.product(reals, repeat=2):
         assert _outcome(lambda: add(x, y)) == _outcome(
@@ -429,17 +451,16 @@ def test_real_operands_give_the_general_kernels_bits(monkeypatch):
             f.name, lambda r, n: asked.append(n) or f.tower(r, n), f.domain, f.domain_desc)
         if seen:  # not refused before the kernel (domain, zero to invert)
             assert _outcome(lambda: ext_apply(counted, x)) == slow, (f.name, x)
-            # one request for a_0; at an infinite r, a_0 is asked first apart
-            assert asked == [0] * (1 + math.isinf(x.std)), (f.name, x)
-    assert invert(from_real(math.inf)) == ZERO
+            assert asked == [0], (f.name, x)  # one request, for a_0
     with pytest.raises(NonFiniteError, match="^exp: Taylor coefficient 0 at 1000 has no finite"):
         ext_apply(CATALOG["exp"], from_real(1000.0))
 
 
 def test_a_one_addend_bucket_is_its_fsum():
     # a bucket with one addend is taken as it is, which is its fsum: a zero
-    # of either sign vanishes, a subnormal or an infinity stays; NaN raises
-    for v in (0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf):
+    # of either sign vanishes, a subnormal stays; +-inf and NaN raise, and so
+    # does a power of h past binary64
+    for v in (0.0, -0.0, 5e-324, -5e-324):
         want = math.fsum([v])
         got = core._lattice({0: [v], 2: [v]}, 3)
         assert (got.std, got.den, got.ks, got.cs) == (
@@ -450,12 +471,15 @@ def test_a_one_addend_bucket_is_its_fsum():
         square = math.fsum([v * v])
         assert core._powers(h, 3, 1)[2] == ({2: square} if square else {})
         assert core._sums({1: [v], 2: [v, 0.0]}, 3) == ({1: want, 2: want} if want else {})
-    with pytest.raises(NonFiniteError, match=r"^standard part has no finite"):
-        core._lattice({0: [math.nan]}, 1)
-    with pytest.raises(NonFiniteError, match=r"^coefficient of dt\[3\] has no finite"):
-        core._sums({1: [math.nan]}, 3)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonFiniteError, match=r"^standard part has no finite"):
+            core._lattice({0: [bad]}, 1)
+        with pytest.raises(NonFiniteError, match=r"^coefficient of dt\[3\] has no finite"):
+            core._sums({1: [bad]}, 3)
+        with pytest.raises(NonFiniteError, match=r"^coefficient of dt\[3/2\] has no finite"):
+            core._lattice({0: [1.0], 2: [bad]}, 3)
     with pytest.raises(NonFiniteError, match=r"^coefficient of dt\[3/2\] has no finite"):
-        core._lattice({0: [1.0], 2: [math.nan]}, 3)
+        core._powers(core._make(0.0, 3, (1,), (1e200,)), 3, 1)
 
 
 # -- iota / eq / standard part ----------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -183,7 +184,7 @@ def test_order_decisions_match_the_fraction_oracle():
     """order.py's lattice decisions against helpers' Fraction sums: the same
     value, or the same exception type and message, on 12,500 seeded calls."""
     rng = random.Random(16)
-    seen = {}
+    seen, unprinted = {}, 0
     for _ in range(2500):
         orders, exps = _product_args(rng)
         total = helpers.outcome(helpers._fraction_reciprocal_order_sum, orders, exps)
@@ -208,7 +209,10 @@ def test_order_decisions_match_the_fraction_oracle():
             assert got == helpers.outcome(oracle, *args), (fn.__name__, args)
             kind = got[0] if got[0] == "raised" else got[2] if got[1] is bool else "ok"
             seen[fn.__name__, kind] = seen.get((fn.__name__, kind), 0) + 1
+            unprinted += kind == "raised" and "<not printed: " in got[2]
     assert sum(seen.values()) == 12500
+    # a sum past the digits Python prints is a placeholder in its error's message
+    assert unprinted or not getattr(sys, "get_int_max_str_digits", int)()
     for name in ("product_power_zero", "ideal_of_product", "in_ideal"):
         assert seen[name, True] and seen[name, False] and seen[name, "raised"]
     for name in ("product_power_order", "cancellation_order"):
@@ -252,10 +256,8 @@ def test_total_order_properties():
 
 
 def test_total_order_matches_oracle():
-    # Extremes included: the parent's sign-of-difference comparison said
-    # inf < inf and overflowed on huge opposite coefficients.
-    inf = from_real(math.inf)
-    assert compare(inf, inf) is Verdict.EQ and not inf < inf
+    # Extremes included: a sign-of-difference comparison overflows on huge
+    # opposite coefficients.
     big = mul(1e308, dt(1))
     assert compare(big, neg(big)) is Verdict.GT
     rng = random.Random(404)
