@@ -34,6 +34,7 @@ from .core import (
     invert,
     mul,
     sub,
+    _binary64,
     _leading,
     _natural,
     _poly,
@@ -178,7 +179,7 @@ CATALOG = {f.name: f for f in (EXP, LN, SIN, COS, TAN, ATAN, SQRT, RECIP)}
 
 def pow_const(c: float) -> ElementaryFn:
     """Power function with a fixed real exponent, on positive bases."""
-    e = float(c)
+    e = _binary64(c, "pow_const exponent")
     fill = partial(_power_tower, Fraction(e), lambda r: math.pow(r, e))
     return _fn(f"pow[{c}]", fill, lambda r: r > 0, _POSITIVE)
 
@@ -192,7 +193,7 @@ def _non_finite(name: str, js, at) -> NonFiniteError:
 def _taylor_coeff(value, js, name: str, at) -> float:
     """value / prod(j! for j in js) rounded once; inf or NaN raises NonFiniteError."""
     try:
-        p, q = float(value).as_integer_ratio()
+        p, q = _binary64(value).as_integer_ratio()
     except (OverflowError, ValueError):
         raise _non_finite(name, js, at) from None
     return p / (q * math.prod(map(math.factorial, js)))
@@ -227,7 +228,7 @@ def derive(f: Callable[[FermatReal], FermatReal], at: float) -> float:
     f is any callable over Fermat reals, e.g. ``expr.as_function`` of a
     parsed expression or ``functools.partial(ext_apply, CATALOG["sin"])``.
     """
-    at = float(at)
+    at = _binary64(at)
     try:
         base = as_fermat(f(from_real(at)))
         shifted = as_fermat(f(add(from_real(at), _DT1)))
@@ -264,7 +265,7 @@ def taylor_multi(
     consulted for a vanishing one.
     """
     _natural(n, "degree")
-    xs = tuple(float(v) for v in x)
+    xs = tuple(_binary64(v, "taylor_multi point") for v in x)
     hs = ParamPoly(h, (), n).params  # its parameter checks alone: no entries
     den, kmin = _leading(hs)
     # (j, room, degree left), extended one parameter at a time in

@@ -10,7 +10,7 @@ import math
 import re
 import sys
 
-from .core import FermatReal, _as_level, _format_order, format_real, iota
+from .core import FermatReal, _as_level, _binary64, _format_order, format_real, iota
 from .errors import FermatError, NonPositiveOrderError, ParseError
 from .expr import as_function, evaluate, parse
 from .calculus import derive
@@ -109,7 +109,7 @@ def _cmd_plot(args) -> int:
         raise _UsageError("--delta must be > 0 and finite")
     if args.samples < 2:
         raise _UsageError("--samples must be >= 2")
-    if not math.isfinite(args.delta * (args.samples - 1)):  # graph_samples forms delta * i
+    if not math.isfinite(args.delta * _binary64(args.samples - 1)):  # graph_samples' delta * i
         raise _UsageError("--delta * (--samples - 1) must be finite")
     v = evaluate(parse(args.expr), _bindings(args))
     sample = graph_samples(v, args.delta, args.samples)

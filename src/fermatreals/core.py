@@ -17,13 +17,13 @@ floats compared exactly: a term exists iff its coefficient is not ``0.0``.
 Operations append float addends to buckets ``k -> [addends]`` (k = 0 is the
 standard part) and round each bucket once with ``math.fsum`` (a lone addend
 is its own fsum).  Every value is finite, as the Fermat reals have no
-infinite element: ``from_real`` and the bucket sums are the only gates, and
-they reject ±inf and NaN with NonFiniteError.  ``_taylor`` (:func:`invert`,
-smooth extensions) and ``_poly`` (``calculus``' polynomials) read one power
-table, ``_powers``: the list [h**0, h**1, ..., h**N], each power a
-``{k: c}`` dict on one lattice.  ``_taylor`` then asks its coefficient
-tower once for the list a_0 .. a_N and folds a_i * h**i into one set of
-buckets.
+infinite element: ``_binary64`` alone turns a caller's number into a float,
+and ``from_real``, the bucket sums and the entry points reject ±inf and NaN
+with NonFiniteError.  ``_taylor`` (:func:`invert`, smooth extensions) and
+``_poly`` (``calculus``' polynomials) read one power table, ``_powers``: the
+list [h**0, h**1, ..., h**N], each power a ``{k: c}`` dict on one lattice.
+``_taylor`` then asks its coefficient tower once for the list a_0 .. a_N and
+folds a_i * h**i into one set of buckets.
 Real operands of ``add``, ``mul``, ``invert`` and ``_taylor`` take a short
 cut, ``from_real`` of one float, which is the general result bit for bit.
 
@@ -230,24 +230,27 @@ ZERO = _make(0.0, 1, (), ())
 ONE = _make(1.0, 1, (), ())
 
 
-def from_real(r: float) -> FermatReal:
-    """Embed an ordinary real; one with no finite binary64 value (±inf, NaN,
-    an int or Fraction past the largest float) raises NonFiniteError."""
+def _binary64(v, what: str = "") -> float:
+    """float(v), an int or Fraction past binary64 read as ±inf: the one conversion
+    of a number a caller passes.  Given ``what``, ±inf and NaN raise NonFiniteError."""
     try:
-        r = float(r) + 0.0
+        v = float(v)
     except OverflowError:
-        r = math.inf
-    if r - r != 0.0:
-        raise NonFiniteError("standard part has no finite binary64 value")
-    return _make(r, 1, (), ())
+        v = math.inf if v > 0 else -math.inf
+    if what and v - v != 0.0:  # ±inf or NaN
+        raise NonFiniteError(f"{what} has no finite binary64 value")
+    return v
+
+
+def from_real(r: float) -> FermatReal:
+    """Embed an ordinary real; one with no finite binary64 value raises NonFiniteError."""
+    return _make(_binary64(r, "standard part") + 0.0, 1, (), ())
 
 
 def _try_fermat(value):
     if isinstance(value, FermatReal):
         return value
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, (int, float, Fraction)):
+    if isinstance(value, (int, float, Fraction)) and not isinstance(value, bool):
         return from_real(value)
     return None
 
@@ -272,14 +275,14 @@ def canonicalize(std: float, raw: Iterable[tuple]) -> FermatReal:
     kept = []
     for coeff, exp in raw:
         e = exp if isinstance(exp, Fraction) else Fraction(exp)
-        c = float(coeff)
+        c = _binary64(coeff)
         n, d = e.numerator, e.denominator
         if n < 0:
             raise ValueError(f"potential exponent must be >= 0, got {e}")
         if n <= d:
             kept.append((c, n, d))
     den = math.lcm(*[d for _, _, d in kept])
-    buckets = {0: [float(std)]}
+    buckets = {0: [_binary64(std)]}
     for c, n, d in kept:
         buckets.setdefault(n * (den // d), []).append(c)
     return _lattice(buckets, den)

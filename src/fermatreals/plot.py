@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .core import _natural, as_fermat
+from .core import _binary64, _natural, as_fermat
 from .errors import NonFiniteError
 
 _SVG_W = 480.0
@@ -33,14 +33,14 @@ class GraphSample(NamedTuple):
 def graph_samples(x, delta: float, samples: int) -> GraphSample:
     """Sample the representing curve uniformly in t over [0, delta), finite points only."""
     x = as_fermat(x)
-    delta = float(delta)
+    delta = _binary64(delta)
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be > 0 and finite, got {delta}")
-    _natural(samples, "samples", least=2)
+    count = _binary64(_natural(samples, "samples", least=2), "samples")
     exps = [(c, k / x.den) for k, c in zip(x.ks, x.cs)]
     points = []
     for i in range(samples):
-        t = delta * i / samples
+        t = delta * i / count
         value = x.std
         for coeff, a in exps:
             value += coeff * t**a

@@ -3,7 +3,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from fermatreals import cli
 from fermatreals.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -280,6 +284,46 @@ def test_fuzzed_expressions_exit_with_a_documented_code(argv, bind):
     assert (code == 0) == (stderr == "") == (out.getvalue() != ""), (argv, code)
 
 
+# Numeric flag texts: non-finite, signed zero, past binary64 and subnormal.
+# --samples is drawn small or past binary64 only, as a huge finite count is
+# built point by point.
+FUZZ_REALS = ("inf", "-inf", "nan", "-nan", "-0", "0", "1e400", "-1e400", "5e-324",
+              "1e308", "1e-300", "0.05", "1", "-1", "2.5")
+FUZZ_COUNTS = ("1", "2", "64", "1" + "0" * 309, "1" + "0" * 400)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    argv=st.one_of(
+        st.tuples(
+            st.just("plot"),
+            st.sampled_from(("7", "dt[2]", "1e308*dt[1]", "x", "-dt[3/2]")),
+            st.sampled_from(FUZZ_REALS).map("--delta={}".format),
+            st.sampled_from(FUZZ_COUNTS).map("--samples={}".format),
+            st.sampled_from(("svg", "csv")).map("--format={}".format),
+        ),
+        st.tuples(
+            st.just("diff"),
+            st.sampled_from(("x", "sin(x)", "1/x", "sqrt(x)", "x^3", "ln(x)")),
+            st.sampled_from(FUZZ_REALS).map("--at={}".format),
+        ),
+    ),
+)
+def test_fuzzed_numeric_flags_exit_with_a_documented_code(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        curve = os.path.join(tmp, "curve")
+        out = ["--out", curve] if argv[0] == "plot" else []
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([argv[0], *argv[2:], *out, "--", argv[1]])
+        written = os.path.exists(curve)
+    stderr = err.getvalue()
+    assert code in (0, 2, 3), (argv, code)
+    assert "Traceback" not in stderr and "internal error" not in stderr, (argv, stderr)
+    assert (code == 0) == (stderr == ""), (argv, code, stderr)
+    assert written == (argv[0] == "plot" and code == 0), (argv, code)
+
+
 def test_unexpected_error_is_one_line_exit_3(capsys, monkeypatch):
     def fail(args):
         raise RuntimeError("handler broke")
@@ -328,6 +372,18 @@ def test_plot_bad_delta(tmp_path, capsys):
                  ("--delta", "1e306", "--samples", "1000")):
         code, _, err = run(capsys, "plot", "7", *argv, "--out", str(tmp_path / "x.svg"))
         assert code == 2 and err == "fermat: --delta * (--samples - 1) must be finite\n"
+    # a count past binary64 makes the same product infinite: a bad flag too
+    huge = "1" + "0" * 310
+    code, _, err = run(capsys, "plot", "7", "--samples", huge, "--out", str(tmp_path / "x.svg"))
+    assert code == 2 and err == "fermat: --delta * (--samples - 1) must be finite\n"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fermatreals", "plot", "7", "--samples", huge,
+         "--out", str(tmp_path / "x.svg")],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "fermat: --delta * (--samples - 1) must be finite\n")
     code, _, _ = run(capsys, "plot", "7", "--delta", "1e306", "--samples", "100",
                      "--out", str(tmp_path / "y.svg"))
     assert code == 0 and (tmp_path / "y.svg").exists()

@@ -19,16 +19,19 @@ from fermatreals import (
     add,
     canonicalize,
     compare,
+    derive,
     dt,
     eq_up_to,
     ext_apply,
     from_real,
+    graph_samples,
     invert,
     iota,
     leading_sign,
     mul,
     neg,
     order,
+    pow_const,
     pow_nat,
     standard_part,
     sub,
@@ -91,6 +94,48 @@ def test_nan_never_enters_a_value():
             canonicalize(1.0, [(bad, F(2, 3))])
     with pytest.raises(NonFiniteError, match=r"^coefficient of dt\[2\] has no finite"):
         mul(add(1, mul(big, dt(2))), 2)
+
+
+def _past_binary64_calls():
+    """(id, call, args, error type, message) for each entry point that turns a
+    caller's number into a float, given a number with no finite binary64 value."""
+    std = "standard part has no finite binary64 value"
+    dt1 = "coefficient of dt[1] has no finite binary64 value"
+    exponent = "pow_const exponent has no finite binary64 value"
+    point = "taylor_multi point has no finite binary64 value"
+    samples = "samples has no finite binary64 value"
+    calls = [
+        ("pow_const-inf", pow_const, (math.inf,), NonFiniteError, exponent),
+        ("pow_const-nan", pow_const, (math.nan,), NonFiniteError, exponent),
+        ("graph_samples-samples-10**310", graph_samples, (dt(2), 0.5, 10**310),
+         NonFiniteError, samples),
+        ("graph_samples-samples-10**400", graph_samples, (dt(2), 0.5, 10**400),
+         NonFiniteError, samples),
+    ]
+    for kind, big in (("10**400", 10**400), ("-10**400", -(10**400)),
+                      ("Fraction", F(10**400))):
+        delta = f"delta must be > 0 and finite, got {'-' if big < 0 else ''}inf"
+        calls += [
+            (f"canonicalize-std-{kind}", canonicalize, (big, []), NonFiniteError, std),
+            (f"canonicalize-coeff-{kind}", canonicalize, (0, [(big, F(1))]),
+             NonFiniteError, dt1),
+            (f"FermatReal-{kind}", FermatReal, (0.0, [(big, F(1))]), NonFiniteError, dt1),
+            (f"derive-{kind}", derive, (neg, big), NonFiniteError, std),
+            (f"pow_const-{kind}", pow_const, (big,), NonFiniteError, exponent),
+            (f"taylor_multi-{kind}", taylor_multi, (lambda j, x: 1.0, (big,), [dt(2)], 1),
+             NonFiniteError, point),
+            # as delta=inf does: the gate keeps its own ValueError and message
+            (f"graph_samples-delta-{kind}", graph_samples, (dt(2), big, 4), ValueError, delta),
+        ]
+    return calls
+
+
+@pytest.mark.parametrize("call, args, error, message",
+                         [pytest.param(*c[1:], id=c[0]) for c in _past_binary64_calls()])
+def test_a_number_past_binary64_raises_a_typed_error(call, args, error, message):
+    with pytest.raises(error) as info:
+        call(*args)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_canonicalize_folds_exponent_zero_into_std():
