@@ -84,47 +84,51 @@ def _tan_tower(r: float, n: int, out: list) -> None:
             A.append(2 * s + (0 if k % 2 else c * A[k // 2] ** 2))
 
 
-def _atan_tower(r: float, n: int, out: list) -> None:
+def _atan_tower(r: float, n: int, out: list, e: int = 0) -> None:
     """atan' = Im(1 / (r - 1j)), so a_i = Im((-1)**(i-1) / (r - 1j)**i) / i
     for i >= 1, and 1 / (r - 1j) = d * (m + d*1j) / (m*m + d*d) at r = m/d:
-    one Gaussian-integer step per i, with d**i (d a power of two) a shift."""
+    one Gaussian-integer step per i, with (d * 2**e)**i (d a power of two) a shift."""
     p, q = math.atan(r).as_integer_ratio()
     out.append(p / q)
     m, d = r.as_integer_ratio()
-    mm, k, re, im, q = m * m + d * d, d.bit_length() - 1, -1, 0, 1
+    mm, k, re, im, q = m * m + d * d, d.bit_length() - 1 + e, -1, 0, 1
     for i in range(1, n + 1):
         re, im, q = im * d - re * m, -re * d - im * m, q * mm
-        out.append((im << k * i) / (i * q))
+        out.append((im << k * i) / (i * q) if k >= 0 else im / ((i * q) << -k * i))
 
 
-def _power_tower(c: Fraction, value, r: float, n: int, out: list) -> None:
+def _power_tower(c: Fraction, value, r: float, n: int, out: list, e: int = 0) -> None:
     """r**c by a_{i+1} = a_i * (c - i) / ((i + 1) * r) on the integers of
-    r = m/d, from the exact r**c for an integer |c| <= 1024 (past that,
-    powers of r run to megabits), with a_i = C(c, i) * r**(c-i) for i < c so
-    that r = 0 divides nothing there; else from ``value(r)``, which for sqrt
-    is math.sqrt, since ``r**0.5`` is not always sqrt(r)."""
+    r = m/d (of r / 2**e for each a_i * 2**(e*i)), from the exact r**c for
+    an integer |c| <= 1024 (past that, powers of r run to megabits), with
+    a_i = C(c, i) * r**(c-i) for i < c so that r = 0 divides nothing there;
+    else from ``value(r)``, which for sqrt is math.sqrt, since ``r**0.5`` is
+    not always sqrt(r)."""
     (p, q), (m, d) = c.as_integer_ratio(), r.as_integer_ratio()
+    up, down = max(e, 0), max(-e, 0)  # 2**e is 2**up / 2**down
     exact = q == 1 and abs(p) <= 1024
     if exact:
         for i in range(min(p, n + 1)):
-            out.append(math.comb(p, i) * m ** (p - i) / d ** (p - i))
+            out.append((math.comb(p, i) * m ** (p - i) << up * i) / (d ** (p - i) << down * i))
         if len(out) > n:
             return
-        a, b = (1, 1) if p >= 0 else (d**-p, m**-p)
+        a, b = (1 << up * p, 1 << down * p) if p >= 0 else (d**-p, m**-p)
     else:
         a, b = value(r).as_integer_ratio()
     out.append(a / b)
-    m, d = abs(m), -d if m < 0 else d  # b keeps its sign: a zero a_i stays 0.0
+    m, d = abs(m) << down, (-d if m < 0 else d) << up  # r / 2**e; b keeps its sign
     for i in range(len(out) - 1, n):
         a, b = a * (p - i * q) * d, b * (i + 1) * q * m
         out.append(a / b)
 
 
-def _ln_tower(r: float, n: int, out: list) -> None:
-    """a_i = (-1)**(i-1) / (i * r**i), i >= 1, on the integers of r = m/d."""
+def _ln_tower(r: float, n: int, out: list, e: int = 0) -> None:
+    """a_i = (-1)**(i-1) / (i * r**i), i >= 1, on the integers of r = m/d
+    (times 2**(e*i), on those of r / 2**e)."""
     p, q = math.log(r).as_integer_ratio()
     out.append(p / q)
     (m, d), a, b = r.as_integer_ratio(), -1, 1
+    m, d = m << max(-e, 0), d << max(e, 0)  # r / 2**e
     for i in range(1, n + 1):
         a, b = -a * d, b * m
         out.append(a / (b * i))
@@ -135,11 +139,13 @@ class ElementaryFn(NamedTuple):
     the list a_0 .. a_n, a_i = f_i(r) / i! at the real point r, each exactly
     p / q rounded once (f(r) is the float where f is transcendental); the
     first with no finite binary64 value raises NonFiniteError naming its
-    index.  ``domain`` checks an argument's standard part."""
+    index.  ``domain(r)`` is falsy off f's domain, else True or a bound on
+    the scale of h, |r| for ln, sqrt, recip and pow, max(|r|, 1) for atan;
+    those towers also give ``tower(r, n, e)``, each a_i * 2**(e*i) so rounded."""
 
     name: str
-    tower: Callable[[float, int], list]
-    domain: Callable[[float], bool]
+    tower: Callable[..., list]
+    domain: Callable[[float], float]
     domain_desc: str
 
     def value(self, r: float) -> float:
@@ -147,13 +153,13 @@ class ElementaryFn(NamedTuple):
 
 
 def _fn(name: str, fill, domain, domain_desc: str) -> ElementaryFn:
-    """Its ``tower(r, n)`` is the list ``fill(r, n, out)`` appends a_0 .. a_n
-    to; an OverflowError at a_i is NonFiniteError naming i."""
+    """Its ``tower(r, n, *e)`` is the list ``fill(r, n, out, *e)`` appends to;
+    an OverflowError at index i is NonFiniteError naming i."""
 
-    def tower(r: float, n: int) -> list:
+    def tower(r: float, n: int, *e) -> list:
         out = []
         try:
-            fill(r, n, out)
+            fill(r, n, out, *e)
         except OverflowError:
             raise _non_finite(name, (len(out),), (r,)) from None
         return out
@@ -163,16 +169,15 @@ def _fn(name: str, fill, domain, domain_desc: str) -> ElementaryFn:
 
 _ANY, _POSITIVE = "any real", "standard part > 0"
 EXP = _fn("exp", lambda r, n, out: _cycle((math.exp(r),), n, out), lambda r: True, _ANY)
-LN = _fn("ln", _ln_tower, lambda r: r > 0, _POSITIVE)
+LN = _fn("ln", _ln_tower, partial(max, 0.0), _POSITIVE)
 SIN = _fn("sin", lambda r, n, out: _cycle(
     (math.sin(r), math.cos(r), -math.sin(r), -math.cos(r)), n, out), lambda r: True, _ANY)
 COS = _fn("cos", lambda r, n, out: _cycle(
     (math.cos(r), -math.sin(r), -math.cos(r), math.sin(r)), n, out), lambda r: True, _ANY)
 TAN = _fn("tan", _tan_tower, lambda r: math.cos(r) != 0.0, "cos(standard part) != 0")
-ATAN = _fn("atan", _atan_tower, lambda r: True, _ANY)
-SQRT = _fn("sqrt", partial(_power_tower, Fraction(1, 2), math.sqrt), lambda r: r > 0, _POSITIVE)
-RECIP = _fn("recip", partial(_power_tower, Fraction(-1), None), lambda r: r != 0,
-            "standard part != 0")
+ATAN = _fn("atan", _atan_tower, lambda r: max(abs(r), 1.0), _ANY)
+SQRT = _fn("sqrt", partial(_power_tower, Fraction(1, 2), math.sqrt), partial(max, 0.0), _POSITIVE)
+RECIP = _fn("recip", partial(_power_tower, Fraction(-1), None), abs, "standard part != 0")
 
 CATALOG = {f.name: f for f in (EXP, LN, SIN, COS, TAN, ATAN, SQRT, RECIP)}
 
@@ -181,7 +186,7 @@ def pow_const(c: float) -> ElementaryFn:
     """Power function with a fixed real exponent, on positive bases."""
     e = _binary64(c, "pow_const exponent")
     fill = partial(_power_tower, Fraction(e), lambda r: math.pow(r, e))
-    return _fn(f"pow[{c}]", fill, lambda r: r > 0, _POSITIVE)
+    return _fn(f"pow[{c}]", fill, partial(max, 0.0), _POSITIVE)
 
 
 def _non_finite(name: str, js, at) -> NonFiniteError:
@@ -202,19 +207,25 @@ def _taylor_coeff(value, js, name: str, at) -> float:
 def ext_apply(f: ElementaryFn, x) -> FermatReal:
     """Extend f to a Fermat-real argument by exact Taylor truncation.
 
-    Runs core's Taylor kernel, the one ``invert`` uses, on ``f.tower``,
-    which it asks once for a_0 .. a_N: an error names the first bad
-    coefficient.  Domain membership is checked on the standard part only,
-    which infinitesimal perturbations never leave, and which is finite, as
-    every value is.  A coefficient past binary64 is NonFiniteError."""
+    Runs core's Taylor kernel, the one ``invert`` uses, on u = h/s, with s
+    the power of two at or below the median of 1, h's largest coefficient and
+    ``f.domain(r)``; it asks ``f.tower`` once for a_i * s**i, i <= N: an
+    error names the first bad one.  Domain membership is checked on the
+    standard part only, which infinitesimal perturbations never leave, and
+    which is finite, as every value is.  A coefficient past binary64 is
+    NonFiniteError."""
     x = as_fermat(x)
     r = x.std
-    if not f.domain(r):
+    bound = f.domain(r)
+    if not bound:
         raise DomainError(
             f"{f.name}: standard part {format(r, 'g')} outside domain "
             f"({f.domain_desc})"
         )
-    return _taylor(x, f.tower)
+    if bound is True or not x.ks:
+        return _taylor(x, f.tower)
+    e = sorted([1, math.frexp(bound)[1], math.frexp(max(x.cs, key=abs))[1]])[1] - 1
+    return _taylor(x, lambda r, n: f.tower(r, n, e), math.ldexp(1.0, e))
 
 
 def derive(f: Callable[[FermatReal], FermatReal], at: float) -> float:

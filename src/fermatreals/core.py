@@ -22,10 +22,10 @@ and ``from_real``, the bucket sums and the entry points reject ±inf and NaN
 with NonFiniteError.  ``_taylor`` (:func:`invert`, smooth extensions) and
 ``_poly`` (``calculus``' polynomials) read one power table, ``_powers``: the
 list [h**0, h**1, ..., h**N], each power a ``{k: c}`` dict on one lattice.
-``_taylor`` then asks its coefficient tower once for the list a_0 .. a_N and
-folds a_i * h**i into one set of buckets.
-Real operands of ``add``, ``mul``, ``invert`` and ``_taylor`` take a short
-cut, ``from_real`` of one float, which is the general result bit for bit.
+One rule scales every Taylor sum: ``_taylor`` runs on u = h/s (s = std for
+``invert``, a power of two for an extension) and folds each b_i * u**i,
+b_i = a_i * s**i, into one set of buckets.  Real operands of ``add``, ``mul``
+and ``_taylor`` take a short cut, ``from_real`` of one float: the same bits.
 
 Values are immutable; every operation is a pure function, so values can be
 shared freely across threads.
@@ -460,39 +460,40 @@ def _poly(hs, entries) -> FermatReal:
     return reduce(add, rest, _lattice(buckets, den))
 
 
-def _taylor(x: FermatReal, tower) -> FermatReal:
+def _taylor(x: FermatReal, tower, s: float = 1.0) -> FermatReal:
     """Taylor sum ``sum(a_i * h**i)`` at x = r + h to N = floor(order(h)), as
-    h**(N+1) vanishes: the list ``tower(r, N)`` of a_0 .. a_N is asked for
-    once, after every power is built (``tower(r, 0)`` at a real x), and every
-    a_i * h**i goes into one set of buckets, as in ``_poly``."""
-    if not x.ks:
+    h**(N+1) vanishes, run as ``sum(b_i * u**i)`` on u = h/s: the list
+    ``tower(r, N)`` of b_i = a_i * s**i is asked for once, after every power
+    of u is built (``tower(r, 0)`` at a real x), and every b_i * u**i goes
+    into one set of buckets, as in ``_poly``.  An s near the size of h keeps
+    u and the b_i in binary64 where h**i or a_i would leave it; a power of
+    two moves no bit, away from overflow and subnormals."""
+    u = x if s == 1.0 or not x.ks else _lattice({k: [c / s] for k, c in zip(x.ks, x.cs)}, x.den)
+    if not u.ks:
         return from_real(tower(x.std, 0)[0])
     buckets = {}
-    for power, c in zip(_powers(x, x.den, x.ks[0]), tower(x.std, x.den // x.ks[0])):
+    for power, c in zip(_powers(u, u.den, u.ks[0]), tower(x.std, u.den // u.ks[0])):
         for k, ck in power.items():
             if k in buckets:
                 buckets[k].append(c * ck)
             else:
                 buckets[k] = [c * ck]
-    return _lattice(buckets, x.den)
+    return _lattice(buckets, u.den)
 
 
 def invert(x) -> FermatReal:
     """Multiplicative inverse, defined iff the standard part is nonzero.
 
-    The Taylor kernel of every smooth extension, run on u = 1 + h/std with
-    the coefficients (-1)**i / std of 1/(std * u).  Dividing h by std first
-    keeps every rounded intermediate near the size of the true coefficient,
-    whatever the magnitude of std; powers of std alone never appear.
+    The Taylor kernel of every smooth extension, run on u = h/std with the
+    coefficients (-1)**i / std of 1/(std * (1 + u)): every rounded
+    intermediate stays near the size of the true coefficient, whatever the
+    magnitude of std; powers of std alone never appear.
     """
     x = as_fermat(x)
     if x.std == 0.0:
         raise NotInvertibleError("not invertible: standard part is 0")
     s = 1.0 / x.std
-    if not x.ks:
-        return from_real(s)
-    u = _lattice({0: [1.0]} | {k: [c / x.std] for k, c in zip(x.ks, x.cs)}, x.den)
-    return _taylor(u, lambda r, n: ([s, -s] * (n // 2 + 1))[:n + 1])
+    return _taylor(x, lambda r, n: ([s, -s] * (n // 2 + 1))[:n + 1], x.std)
 
 
 def _as_level(a, what: str) -> tuple[int, int]:

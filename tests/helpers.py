@@ -317,15 +317,16 @@ def mul_poly(hs, entries) -> FermatReal:
     return canonicalize(0.0, raw)
 
 
-def series_error(got: FermatReal, ref: dict) -> float:
+def series_error(got: FermatReal, ref: dict, floor: float = 0.0) -> float:
     """Largest error of ``got`` against an :func:`oracle_poly` result, each
-    exponent's error divided by its sum of absolute contributions."""
+    exponent's error divided by its sum of absolute contributions; an error
+    of at most ``floor`` (room for rounding to subnormals) counts as none."""
     have = to_dict(got)
     worst = 0.0
     for e in set(have) | set(ref):
         value, mag = ref.get(e, (F(0), F(0)))
         err = abs(F(have.get(e, 0.0)) - value)
-        if err:
+        if err > floor:
             worst = max(worst, float(err / mag) if mag else math.inf)
     return worst
 
@@ -415,9 +416,11 @@ def fraction_tower(name: str, r: float, i: int) -> Fraction:
     return fraction_power_tower(Fraction(1, 2), math.sqrt, r, i)
 
 
-def taylor_coefficient(tower, r: float, i: int) -> float:
-    """A Fraction form f_i(r) divided exactly by i! and rounded once."""
-    return float(tower(r, i) / math.factorial(i))
+def taylor_coefficient(tower, r: float, i: int, e: int = 0) -> float:
+    """A Fraction form f_i(r) divided exactly by i! and rounded once; given
+    e, the scaled tower's b_i: that quotient times 2**(e*i), rounded once."""
+    p, q = (tower(r, i) / math.factorial(i)).as_integer_ratio()
+    return (p << max(e * i, 0)) / (q << max(-e * i, 0))
 
 
 def fd_central(f, x: float, step: float = 1e-5) -> float:

@@ -6,7 +6,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction as F
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 
 import pytest
 
@@ -173,6 +173,63 @@ def test_integer_towers_equal_their_fraction_forms():
             if bad is not None and bad:  # the list up to the first error
                 assert list(map(repr, f.tower(r, bad - 1))) == want[:bad], (f.name, r)
     assert overflows > 50
+
+
+def _exponent(r: float) -> int:
+    """e with 2**e <= |r| < 2**(e+1) (-1 at 0 and nan, as math.frexp reads them)."""
+    return math.frexp(r)[1] - 1
+
+
+# The towers that take a scale exponent e, with their Fraction forms.
+_SCALED = [(CATALOG[name], partial(helpers.fraction_tower, name))
+           for name in ("ln", "sqrt", "recip", "atan")]
+
+
+def _pow_fraction_form(c):
+    return partial(helpers.fraction_power_tower, F(c), lambda r, e=c: math.pow(r, e))
+
+
+def test_scaled_towers_equal_their_scaled_fraction_forms():
+    # tower(r, n, e) gives b_i = a_i * 2**(e*i): bit for bit and error for
+    # error the Fraction form times 2**(e*i), rounded once, over the same r
+    # grid as the unscaled towers, with e the exponent of r (the scale
+    # ext_apply nears) and e = 5 (one far from it).  A scaled tower raises
+    # only where b_i itself is past binary64, which at e = exponent(r) is
+    # seldom where a_i is.
+    rng = random.Random(41)
+    rs = [5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-10, 0.3, 0.5, 1.0,
+          2.0, 1e10, 1e300, 1.7976931348623157e308, 0.0, math.nan]
+    rs += [rng.uniform(0.01, 10.0) for _ in range(10)]
+    rs += [math.ldexp(rng.random(), rng.randint(-1074, 1023)) for _ in range(10)]
+    rs += [-r for r in rs]
+    fns = _SCALED + [(pow_const(c), _pow_fraction_form(c))
+                     for c in (0.5, -1.0, 2.0, -3.0, 2.5, -0.75, 7.0, 1e20, 1 / 3)]
+    overflows = rescued = 0
+    for f, ref in fns:
+        ref = lru_cache(maxsize=None)(ref)  # one Fraction form per (r, i), both e
+        for r in rs:
+            for e in (_exponent(r), 5):
+                want = [_outcome(lambda: helpers.taylor_coefficient(ref, r, i, e))
+                        for i in range(25)]
+                bad = next((i for i, w in enumerate(want) if not isinstance(w, str)), None)
+                if bad is None:
+                    assert list(map(repr, f.tower(r, 24, e))) == want, (f.name, r, e)
+                    try:
+                        f.tower(r, 24)
+                    except NonFiniteError:
+                        rescued += 1
+                elif want[bad] is OverflowError:
+                    overflows += 1
+                    with pytest.raises(NonFiniteError) as err:
+                        f.tower(r, 24, e)
+                    assert str(err.value) == (f"{f.name}: Taylor coefficient {bad} at {r:g} "
+                                              "has no finite binary64 value"), (f.name, r, e)
+                else:
+                    with pytest.raises(want[bad]):
+                        f.tower(r, 24, e)
+                if bad:  # the list up to the first error
+                    assert list(map(repr, f.tower(r, bad - 1, e))) == want[:bad], (f.name, r)
+    assert overflows > 20 and rescued > 50, (overflows, rescued)
 
 
 def test_kernel_equals_mul_and_one_canonicalize():
@@ -409,6 +466,64 @@ def test_invert_is_scale_invariant():
     for _ in range(500):
         x = mul(10.0 ** rng.randint(-250, 250), helpers.rand_invertible(rng))
         assert helpers.series_error(invert(x), _recip_series(x)) <= 1e-15, x
+
+
+def test_extensions_at_extreme_standard_parts_answer():
+    # h = r*dt[3]: h**2 and h**3 leave binary64 at r = 1e200, and a_2, a_3
+    # do at r = 1e-200; u = h/s with s near r keeps both in it.  Every
+    # coefficient of these answers is near 1e-100, 1e100, 1e-200, 1e200 or 1.
+    far = [(f, form, r) for r in (1e-200, 1e200) for f, form in _SCALED[:3]]
+    far += [(pow_const(0.5), _pow_fraction_form(0.5), 1e-200), (*_SCALED[3], 1e200)]
+    for f, form, r in far:
+        x = add(r, mul(r, dt(3)))
+        coeffs = [form(r, i) / math.factorial(i) for i in range(4)]
+        got = ext_apply(f, x)
+        assert len(got.ks) == 3, (f.name, r, got)
+        assert helpers.series_error(got, helpers.oracle_series(coeffs, x)) <= 1e-15, (f.name, r)
+    # pow(x, 0.5) of the expression language is exp(0.5 * ln(x)), whose
+    # exp amplifies ln's rounding at 1e-200 by |ln x| / 2, about 230
+    x = add(1e-200, mul(1e-200, dt(3)))
+    coeffs = [helpers.fraction_tower("sqrt", 1e-200, i) / math.factorial(i) for i in range(4)]
+    ref = helpers.oracle_series(coeffs, x)
+    assert helpers.series_error(power(x, from_real(0.5)), ref) <= 1e-13
+
+
+def test_scaled_extensions_equal_the_unscaled_sum_at_every_magnitude():
+    # standard parts across binary64 and h = r*c*dt[b]: each extension
+    # agrees with the exact series (up to 64 subnormal steps where a true
+    # coefficient is that small), and wherever the unscaled tower summed on
+    # h's own powers stays in normal binary64, it equals that bit for bit
+    rng = random.Random(46)
+    fns = _SCALED + [(pow_const(c), _pow_fraction_form(c)) for c in (0.5, -1.5, 1 / 3)]
+    compared = answered = 0
+    for _ in range(150):
+        r = math.ldexp(rng.uniform(1.0, 2.0), rng.randint(-1000, 1000))
+        c, b = rng.uniform(-2.0, 2.0), F(rng.randint(2, 12), 2)
+        h = mul(r * c, dt(b))
+        x, n = add(r, h), math.floor(b)
+        for f, form in fns:
+            try:  # OverflowError where an exact coefficient is past binary64
+                coeffs = [form(r, i) / math.factorial(i) for i in range(n + 1)]
+                ref = helpers.oracle_series(coeffs, x)
+                [float(v) for v, _ in ref.values()]
+            except OverflowError:
+                with pytest.raises(NonFiniteError):
+                    ext_apply(f, x)
+                continue
+            got = ext_apply(f, x)
+            answered += 1
+            assert helpers.series_error(got, ref, floor=2.0**-1068) <= 1e-15, (f.name, x)
+            try:
+                a = f.tower(r, n)
+                terms = [abs(t) for i in range(1, n + 1)
+                         for t in (a[i], (r * c) ** i, a[i] * (r * c) ** i)]
+            except (NonFiniteError, OverflowError):
+                continue
+            if all(2.2250738585072014e-308 <= t < math.inf for t in terms):
+                compared += 1
+                want = helpers.mul_poly([h], [((i,), ai) for i, ai in enumerate(a)])
+                assert got == want, (f.name, x)
+    assert compared > 100 and answered > 2 * compared, (compared, answered)
 
 
 def test_ext_apply_on_reals_is_plain_evaluation():

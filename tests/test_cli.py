@@ -216,6 +216,36 @@ def test_smooth_extension_overflow_is_typed(capsys):
             3, "", "fermat: standard part has no finite binary64 value\n"), expr
 
 
+# Each left binary64 on h**i or a Taylor coefficient before extensions ran
+# on u = h/s; every coefficient of its answer is near 1e-100, 1e100,
+# 1e-200, 1e200 or 1.
+_FAR_STANDARD_PARTS = [f"{name}({r}+{r}*dt[3])" for r in ("1e-200", "1e200")
+                       for name in ("sqrt", "ln", "recip")]
+_FAR_STANDARD_PARTS += ["pow(1e-200+1e-200*dt[3], 0.5)", "atan(1e200+1e200*dt[3])"]
+
+
+def test_extensions_at_extreme_standard_parts_exit_0(capsys):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    for expr in _FAR_STANDARD_PARTS:
+        code, out, err = run(capsys, "eval", expr)
+        assert (code, err, out.count("dt[")) == (0, "", 3), (expr, err)
+        proc = subprocess.run([sys.executable, "-m", "fermatreals", "eval", expr],
+                              env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                              text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, ""), expr
+    # one rounding of h/2**e's exact powers each: 1/r**2 * 2**e rounds, then
+    # its product with u does; invert divides h by std and rounds once there
+    assert run(capsys, "eval", "recip(1e-200+1e-200*dt[3])")[1] == (
+        "1e+200 - 1.0000000000000001e+200*dt[3] + 1e+200*dt[3/2] - 1e+200*dt[1]\n")
+    assert run(capsys, "eval", "(1e-200+1e-200*dt[3])^-1")[1] == (
+        "1e+200 - 1e+200*dt[3] + 1e+200*dt[3/2] - 1e+200*dt[1]\n")
+    assert run(capsys, "eval", "sqrt(1e200+1e200*dt[3])")[1] == (
+        "1e+100 + 5e+99*dt[3] - 1.25e+99*dt[3/2] + 6.25e+98*dt[1]\n")
+    # an h far below r keeps s = 1, so a coefficient near 1e-301 survives
+    assert run(capsys, "eval", "sqrt(1e200+dt[3])")[1] == (
+        "1e+100 + 5e-101*dt[3] - 1.25e-301*dt[3/2]\n")
+
+
 def test_trig_of_an_infinite_standard_part_is_typed(capsys):
     # there is no infinite standard part: its literal is NonFiniteError
     # before any function sees it, whether or not the function has a limit
@@ -285,11 +315,10 @@ def test_fuzzed_expressions_exit_with_a_documented_code(argv, bind):
 
 
 # Numeric flag texts: non-finite, signed zero, past binary64 and subnormal.
-# --samples is drawn small or past binary64 only, as a huge finite count is
-# built point by point.
+# --samples is drawn small, past plot's cap or past binary64.
 FUZZ_REALS = ("inf", "-inf", "nan", "-nan", "-0", "0", "1e400", "-1e400", "5e-324",
               "1e308", "1e-300", "0.05", "1", "-1", "2.5")
-FUZZ_COUNTS = ("1", "2", "64", "1" + "0" * 309, "1" + "0" * 400)
+FUZZ_COUNTS = ("1", "2", "64", "1000000000", "1" + "0" * 309, "1" + "0" * 400)
 
 
 @settings(max_examples=200, deadline=None)
@@ -384,6 +413,10 @@ def test_plot_bad_delta(tmp_path, capsys):
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, "", "fermat: --delta * (--samples - 1) must be finite\n")
+    # a finite count is built point by point, so it is capped
+    code, _, err = run(capsys, "plot", "7", "--samples", "1000000000",
+                       "--out", str(tmp_path / "x.svg"))
+    assert code == 2 and err == "fermat: --samples must be <= 100000\n"
     code, _, _ = run(capsys, "plot", "7", "--delta", "1e306", "--samples", "100",
                      "--out", str(tmp_path / "y.svg"))
     assert code == 0 and (tmp_path / "y.svg").exists()
