@@ -207,13 +207,13 @@ def _taylor_coeff(value, js, name: str, at) -> float:
 def ext_apply(f: ElementaryFn, x) -> FermatReal:
     """Extend f to a Fermat-real argument by exact Taylor truncation.
 
-    Runs core's Taylor kernel, the one ``invert`` uses, on u = h/s, with s
-    the power of two at or below the median of 1, h's largest coefficient and
-    ``f.domain(r)``; it asks ``f.tower`` once for a_i * s**i, i <= N: an
-    error names the first bad one.  Domain membership is checked on the
+    Runs core's Taylor kernel, the one ``invert`` uses, on u = h/s, with
+    s = 2**e, e the median of 0, log2 |h's largest coefficient| and
+    log2 ``f.domain(r)`` cut toward 0: s moves u and the a_i toward 1 and
+    never past it.  The kernel asks ``f.tower`` once for a_i * s**i, i <= N:
+    an error names the first bad one.  Domain membership is checked on the
     standard part only, which infinitesimal perturbations never leave, and
-    which is finite, as every value is.  A coefficient past binary64 is
-    NonFiniteError."""
+    which is finite, as every value is; a coefficient past binary64 is NonFiniteError."""
     x = as_fermat(x)
     r = x.std
     bound = f.domain(r)
@@ -224,7 +224,7 @@ def ext_apply(f: ElementaryFn, x) -> FermatReal:
         )
     if bound is True or not x.ks:
         return _taylor(x, f.tower)
-    e = sorted([1, math.frexp(bound)[1], math.frexp(max(x.cs, key=abs))[1]])[1] - 1
+    e = sorted([0, int(math.log2(bound)), int(math.log2(max(map(abs, x.cs))))])[1]
     return _taylor(x, lambda r, n: f.tower(r, n, e), math.ldexp(1.0, e))
 
 

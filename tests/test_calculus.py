@@ -526,6 +526,19 @@ def test_scaled_extensions_equal_the_unscaled_sum_at_every_magnitude():
     assert compared > 100 and answered > 2 * compared, (compared, answered)
 
 
+def test_scaling_keeps_deep_series_that_answer_unscaled():
+    # s moves u and the a_i toward 1 and never past it, so a deep series
+    # whose unscaled powers and coefficients stay in binary64 keeps its bits:
+    # a power of two at or below 0.8 would make u = 1.6, whose 1500th power
+    # overflows, and one at or above 1.1 would make u = 0.55, whose 1300th
+    # power is below the subnormals
+    fns = [f for f, _ in _SCALED] + [pow_const(2.0), pow_const(-1.5)]
+    for r, c, n in ((0.9, 0.8, 1600), (1.1, 1.1, 1600), (3.0, -2.5, 500), (2**-20, -0.7 * 2**-20, 40)):
+        x = add(r, mul(c, dt(n)))
+        for f in fns:
+            assert ext_apply(f, x) == core._taylor(x, f.tower), (f.name, r, c)
+
+
 def test_ext_apply_on_reals_is_plain_evaluation():
     assert ext_apply(CATALOG["exp"], from_real(0.0)) == ONE
     assert ext_apply(CATALOG["sqrt"], from_real(9.0)) == from_real(3.0)
