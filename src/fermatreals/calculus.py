@@ -99,11 +99,10 @@ def _atan_tower(r: float, n: int, out: list, e: int = 0) -> None:
 
 def _power_tower(c: Fraction, value, r: float, n: int, out: list, e: int = 0) -> None:
     """r**c by a_{i+1} = a_i * (c - i) / ((i + 1) * r) on the integers of
-    r = m/d (of r / 2**e for each a_i * 2**(e*i)), from the exact r**c for
-    an integer |c| <= 1024 (past that, powers of r run to megabits), with
-    a_i = C(c, i) * r**(c-i) for i < c so that r = 0 divides nothing there;
-    else from ``value(r)``, which for sqrt is math.sqrt, since ``r**0.5`` is
-    not always sqrt(r)."""
+    r / 2**e = m/d, from the exact r**c for an integer |c| <= 1024 (past
+    that, powers of r run to megabits), with a_i = C(c, i) * r**(c-i) for
+    i < c so that r = 0 divides nothing there; else from ``value(r)``, which
+    for sqrt is math.sqrt, since ``r**0.5`` is not always sqrt(r)."""
     (p, q), (m, d) = c.as_integer_ratio(), r.as_integer_ratio()
     up, down = max(e, 0), max(-e, 0)  # 2**e is 2**up / 2**down
     exact = q == 1 and abs(p) <= 1024
@@ -123,8 +122,7 @@ def _power_tower(c: Fraction, value, r: float, n: int, out: list, e: int = 0) ->
 
 
 def _ln_tower(r: float, n: int, out: list, e: int = 0) -> None:
-    """a_i = (-1)**(i-1) / (i * r**i), i >= 1, on the integers of r = m/d
-    (times 2**(e*i), on those of r / 2**e)."""
+    """a_i = (-1)**(i-1) / (i * r**i), i >= 1, on the integers of r / 2**e."""
     p, q = math.log(r).as_integer_ratio()
     out.append(p / q)
     (m, d), a, b = r.as_integer_ratio(), -1, 1
@@ -139,21 +137,20 @@ class ElementaryFn(NamedTuple):
     the list a_0 .. a_n, a_i = f_i(r) / i! at the real point r, each exactly
     p / q rounded once (f(r) is the float where f is transcendental); the
     first with no finite binary64 value raises NonFiniteError naming its
-    index.  ``domain(r)`` is falsy off f's domain, else True or a bound on
-    the scale of h, |r| for ln, sqrt, recip and pow, max(|r|, 1) for atan;
-    those towers also give ``tower(r, n, e)``, each a_i * 2**(e*i) so rounded."""
+    index.  ``domain`` checks an argument's standard part."""
 
     name: str
-    tower: Callable[..., list]
-    domain: Callable[[float], float]
+    tower: Callable[[float, int], list]
+    domain: Callable[[float], bool]
     domain_desc: str
 
     def value(self, r: float) -> float:
         return self.tower(r, 0)[0]
 
 
-def _fn(name: str, fill, domain, domain_desc: str) -> ElementaryFn:
-    """Its ``tower(r, n, *e)`` is the list ``fill(r, n, out, *e)`` appends to;
+def _fn(name: str, fill, domain, domain_desc: str, bound=None) -> ElementaryFn:
+    """Its ``tower(r, n)`` is the list ``fill(r, n, out)`` appends a_0 .. a_n to,
+    and given a ``tower.bound``, ``tower(r, n, e)`` that of a_i * 2**(e*i);
     an OverflowError at index i is NonFiniteError naming i."""
 
     def tower(r: float, n: int, *e) -> list:
@@ -164,20 +161,23 @@ def _fn(name: str, fill, domain, domain_desc: str) -> ElementaryFn:
             raise _non_finite(name, (len(out),), (r,)) from None
         return out
 
+    tower.bound = bound
     return ElementaryFn(name, tower, domain, domain_desc)
 
 
 _ANY, _POSITIVE = "any real", "standard part > 0"
 EXP = _fn("exp", lambda r, n, out: _cycle((math.exp(r),), n, out), lambda r: True, _ANY)
-LN = _fn("ln", _ln_tower, partial(max, 0.0), _POSITIVE)
+LN = _fn("ln", _ln_tower, lambda r: r > 0, _POSITIVE, abs)
 SIN = _fn("sin", lambda r, n, out: _cycle(
     (math.sin(r), math.cos(r), -math.sin(r), -math.cos(r)), n, out), lambda r: True, _ANY)
 COS = _fn("cos", lambda r, n, out: _cycle(
     (math.cos(r), -math.sin(r), -math.cos(r), math.sin(r)), n, out), lambda r: True, _ANY)
 TAN = _fn("tan", _tan_tower, lambda r: math.cos(r) != 0.0, "cos(standard part) != 0")
-ATAN = _fn("atan", _atan_tower, lambda r: max(abs(r), 1.0), _ANY)
-SQRT = _fn("sqrt", partial(_power_tower, Fraction(1, 2), math.sqrt), partial(max, 0.0), _POSITIVE)
-RECIP = _fn("recip", partial(_power_tower, Fraction(-1), None), abs, "standard part != 0")
+ATAN = _fn("atan", _atan_tower, lambda r: True, _ANY, lambda r: max(abs(r), 1.0))
+SQRT = _fn("sqrt", partial(_power_tower, Fraction(1, 2), math.sqrt), lambda r: r > 0,
+           _POSITIVE, abs)
+RECIP = _fn("recip", partial(_power_tower, Fraction(-1), None), lambda r: r != 0,
+            "standard part != 0", abs)
 
 CATALOG = {f.name: f for f in (EXP, LN, SIN, COS, TAN, ATAN, SQRT, RECIP)}
 
@@ -186,7 +186,7 @@ def pow_const(c: float) -> ElementaryFn:
     """Power function with a fixed real exponent, on positive bases."""
     e = _binary64(c, "pow_const exponent")
     fill = partial(_power_tower, Fraction(e), lambda r: math.pow(r, e))
-    return _fn(f"pow[{c}]", fill, partial(max, 0.0), _POSITIVE)
+    return _fn(f"pow[{c}]", fill, lambda r: r > 0, _POSITIVE, abs)
 
 
 def _non_finite(name: str, js, at) -> NonFiniteError:
@@ -207,24 +207,25 @@ def _taylor_coeff(value, js, name: str, at) -> float:
 def ext_apply(f: ElementaryFn, x) -> FermatReal:
     """Extend f to a Fermat-real argument by exact Taylor truncation.
 
-    Runs core's Taylor kernel, the one ``invert`` uses, on u = h/s, with
-    s = 2**e, e the median of 0, log2 |h's largest coefficient| and
-    log2 ``f.domain(r)`` cut toward 0: s moves u and the a_i toward 1 and
-    never past it.  The kernel asks ``f.tower`` once for a_i * s**i, i <= N:
-    an error names the first bad one.  Domain membership is checked on the
-    standard part only, which infinitesimal perturbations never leave, and
-    which is finite, as every value is; a coefficient past binary64 is NonFiniteError."""
+    Runs core's Taylor kernel, the one ``invert`` uses, on u = h/s: s = 1
+    unless f's tower has a ``bound``, else 2**e, e the median of 0, log2
+    ``bound(r)`` and log2 of h's largest coefficient cut toward 0, and cut so
+    that (m/s)**N, m h's smallest, stays normal: s moves u and the a_i toward
+    1, and no product of u's coefficients leaves binary64 where h's stayed.
+    Domain membership is checked on the standard part only, which no
+    infinitesimal leaves; the first a_i * s**i past binary64 is NonFiniteError."""
     x = as_fermat(x)
     r = x.std
-    bound = f.domain(r)
-    if not bound:
+    if not f.domain(r):
         raise DomainError(
             f"{f.name}: standard part {format(r, 'g')} outside domain "
             f"({f.domain_desc})"
         )
-    if bound is True or not x.ks:
+    if (bound := getattr(f.tower, "bound", None)) is None:
         return _taylor(x, f.tower)
-    e = sorted([0, int(math.log2(bound)), int(math.log2(max(map(abs, x.cs))))])[1]
+    e = sorted([0, int(math.log2(bound(r))), int(math.log2(max(map(abs, x.cs), default=1.0)))])[1]
+    if e > 0:  # log2 m >= frexp's exponent - 1; N = den // ks[0]
+        e = max(0, min(e, math.frexp(min(map(abs, x.cs)))[1] - 1 + 1022 // (x.den // x.ks[0])))
     return _taylor(x, lambda r, n: f.tower(r, n, e), math.ldexp(1.0, e))
 
 

@@ -468,7 +468,7 @@ def _taylor(x: FermatReal, tower, s: float = 1.0) -> FermatReal:
     into one set of buckets, as in ``_poly``.  An s near the size of h keeps
     u and the b_i in binary64 where h**i or a_i would leave it; a power of
     two moves no bit, away from overflow and subnormals."""
-    u = x if s == 1.0 or not x.ks else _lattice({k: [c / s] for k, c in zip(x.ks, x.cs)}, x.den)
+    u = x if s == 1.0 else _lattice({k: [c / s] for k, c in zip(x.ks, x.cs)}, x.den)
     if not u.ks:
         return from_real(tower(x.std, 0)[0])
     buckets = {}
@@ -492,8 +492,7 @@ def invert(x) -> FermatReal:
     x = as_fermat(x)
     if x.std == 0.0:
         raise NotInvertibleError("not invertible: standard part is 0")
-    s = 1.0 / x.std
-    return _taylor(x, lambda r, n: ([s, -s] * (n // 2 + 1))[:n + 1], x.std)
+    return _taylor(x, lambda r, n: ([1.0 / r, -1.0 / r] * (n // 2 + 1))[:n + 1], x.std)
 
 
 def _as_level(a, what: str) -> tuple[int, int]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
@@ -13,6 +14,7 @@ import pytest
 from fermatreals import (
     CATALOG,
     ONE,
+    ElementaryFn,
     ParamPoly,
     ZERO,
     Verdict,
@@ -524,6 +526,61 @@ def test_scaled_extensions_equal_the_unscaled_sum_at_every_magnitude():
                 want = helpers.mul_poly([h], [((i,), ai) for i, ai in enumerate(a)])
                 assert got == want, (f.name, x)
     assert compared > 100 and answered > 2 * compared, (compared, answered)
+    # h of two or three terms far apart: the scale is cut so that h's
+    # smallest coefficient keeps its bits in u's powers, so wherever the
+    # unscaled kernel answers, this answers no further from the exact series,
+    # and bit for bit wherever that kernel's factors stay normal binary64
+    compared = judged = 0
+    for _ in range(60):  # exponents: far below r, near it, or where c*a_1 is normal and c/r is not
+        mode = rng.randrange(3)
+        k = rng.randint(*[(-1000, 1000), (-150, 150), (100, 500)][mode])
+        low = [(k - 1100, k), (k - 300, k), (k // 2 - 1022, k - 1022)][mode]
+        r = math.ldexp(rng.uniform(1.0, 2.0), k)
+        cs = [r * rng.uniform(-2.0, 2.0)] + [
+            math.ldexp(rng.choice((-1, 1)) * rng.uniform(1.0, 2.0), max(rng.randint(*low), -1070))
+            for _ in range(rng.randint(1, 2))]
+        x = reduce(add, [mul(c, dt(F(b, 2))) for c, b in zip(cs, rng.sample(range(2, 13), len(cs)))], r)
+        n, lo, hi = x.den // x.ks[0], min(map(abs, cs)), max(map(abs, cs))
+        # every product of i <= n coefficients of h lies in [lo**i, hi**i]
+        powers = [(math.prod([lo] * i), math.prod([hi] * i)) for i in range(n + 1)]
+        for f, form in fns:
+            try:
+                want = core._taylor(x, f.tower)
+            except NonFiniteError:
+                with contextlib.suppress(NonFiniteError):  # it may answer
+                    ext_apply(f, x)
+                continue
+            got, a = ext_apply(f, x), f.tower(r, n)
+            if all(2.2250738585072014e-308 <= abs(t) < math.inf for i in range(1, n + 1)
+                   for t in (a[i], *powers[i], a[i] * powers[i][0], a[i] * powers[i][1])):
+                compared += 1
+                assert got == want, (f.name, x)
+            else:
+                judged += 1
+                ref = helpers.oracle_series([form(r, i) / math.factorial(i) for i in range(n + 1)], x)
+                err = helpers.series_error(got, ref, floor=2.0**-1068)
+                assert err <= max(helpers.series_error(want, ref, floor=2.0**-1068), 1e-15), (f.name, x)
+    assert compared > 60 and judged > 60, (compared, judged)
+    # sqrt and pow_const(2) with a dt[3] term far below the rest: the unscaled
+    # kernel's answers, where a scale of 2**332 or 2**66 would have flushed
+    # that term in u, or kept 10 of its bits; and one that it cannot give,
+    # as h**2 overflows, with the dt[3/2] term kept
+    (sqrt, sqrt_form), two = _SCALED[1], (pow_const(2.0), _pow_fraction_form(2.0))
+    for (f, form), (r, c3), text in (
+            ((sqrt, sqrt_form), (1e100, 1e-250),
+             "1e+50 + 5e-301*dt[3] + 5e+49*dt[2] - 2.5e-301*dt[6/5] - 1.25e+49*dt[1]"),
+            (two, (1e20, 1e-305), "1e+40 + 2e-285*dt[3] + 2e+40*dt[2] + 2e-285*dt[6/5] + 1e+40*dt[1]"),
+            ((sqrt, sqrt_form), (1e100, 1e-220),
+             "1e+50 + 5e-271*dt[3] + 5e+49*dt[2] - 2.5e-271*dt[6/5] - 1.25e+49*dt[1]"),
+            ((sqrt, sqrt_form), (2.0**600, 1.1), None)):
+        x = add(add(r, mul(r, dt(2))), mul(c3, dt(3)))
+        got = ext_apply(f, x)
+        coeffs = [form(r, i) / math.factorial(i) for i in range(4)]
+        ref = helpers.oracle_series(coeffs, x)
+        assert helpers.series_error(got, ref, floor=2.0**-1068) <= 1e-15, (f.name, r, c3)
+        assert len(got.ks) == 4 + (text is None), got
+        if text:
+            assert (str(got), got) == (text, core._taylor(x, f.tower)), (f.name, r, c3)
 
 
 def test_scaling_keeps_deep_series_that_answer_unscaled():
@@ -537,6 +594,29 @@ def test_scaling_keeps_deep_series_that_answer_unscaled():
         x = add(r, mul(c, dt(n)))
         for f in fns:
             assert ext_apply(f, x) == core._taylor(x, f.tower), (f.name, r, c)
+
+
+def test_a_user_function_runs_on_its_own_tower_unscaled():
+    # a user's ElementaryFn is asked for tower(r, n) alone and runs on s = 1,
+    # with a catalog function's domain or with a domain that returns a
+    # number; only a tower that carries a bound is asked for tower(r, n, e)
+    sqrt, asked = CATALOG["sqrt"], []
+
+    def user(r, n):
+        asked.append(n)
+        return sqrt.tower(r, n)
+
+    fns = [ElementaryFn("s", user, sqrt.domain, sqrt.domain_desc),
+           ElementaryFn("t", user, lambda r: abs(r), sqrt.domain_desc)]
+    for r, c in ((4.0, 1.0), (1e10, 1e10), (2.0**-600, 2.0**-600)):
+        x = add(r, mul(c, dt(2)))
+        assert [ext_apply(f, x) for f in fns] == [core._taylor(x, sqrt.tower)] * 2, r
+    assert asked == [2] * 6
+    x = add(1e-200, mul(1e-200, dt(3)))  # a_3 is past binary64; u = h/s keeps it
+    for f in fns:
+        with pytest.raises(NonFiniteError, match="^sqrt: Taylor coefficient 3 at 1e-200 "):
+            ext_apply(f, x)
+    assert len(ext_apply(sqrt, x).ks) == len(ext_apply(fns[0]._replace(tower=sqrt.tower), x).ks) == 3
 
 
 def test_ext_apply_on_reals_is_plain_evaluation():
