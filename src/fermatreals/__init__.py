@@ -3,8 +3,8 @@
 The public surface re-exports the canonical representation and ring
 operations (:mod:`.core`), the order/nilpotency machinery (:mod:`.order`),
 remainder-free calculus (:mod:`.calculus`), the expression front-end
-(:mod:`.expr`), and curve plotting (:mod:`.plot`).  The ``fermat`` CLI
-lives in :mod:`.cli`.
+(:mod:`.expr`), and curve plotting (:mod:`.plot`); the last three load on
+first use.  The ``fermat`` CLI lives in :mod:`.cli`.
 """
 
 from .core import (
@@ -41,28 +41,29 @@ from .order import (
     product_power_order,
     product_power_zero,
 )
-from .calculus import (
-    CATALOG,
-    ElementaryFn,
-    ParamPoly,
-    derive,
-    eval_param_poly,
-    ext_apply,
-    log,
-    pow_const,
-    power,
-    taylor_multi,
-)
-from .expr import (
-    Expr,
-    as_function,
-    evaluate,
-    format_fermat,
-    free_variables,
-    parse,
-)
-from .plot import GraphSample, graph_samples, render_csv, render_svg
 from . import errors
+
+# Imported on first access (PEP 562) and then bound here: the ring and its
+# decisions need none of these, so a CLI call that runs no smooth function
+# and draws no plot compiles neither calculus nor plot.
+_LAZY = {
+    "calculus": ("CATALOG", "ElementaryFn", "ParamPoly", "derive", "eval_param_poly",
+                 "ext_apply", "log", "pow_const", "power", "taylor_multi"),
+    "expr": ("Expr", "as_function", "evaluate", "format_fermat", "free_variables", "parse"),
+    "plot": ("GraphSample", "graph_samples", "render_csv", "render_svg"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in (module, *names)}
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    __import__(f"{__name__}.{home}")  # binds the submodule here; -X importtime times it
+    module = globals()[home]
+    value = globals()[name] = module if name == home else getattr(module, name)
+    return value
+
 
 __version__ = "0.1.0"
 
@@ -97,26 +98,7 @@ __all__ = [
     "order",
     "product_power_order",
     "product_power_zero",
-    "CATALOG",
-    "ElementaryFn",
-    "ParamPoly",
-    "derive",
-    "eval_param_poly",
-    "ext_apply",
-    "log",
-    "pow_const",
-    "power",
-    "taylor_multi",
-    "Expr",
-    "as_function",
-    "evaluate",
-    "format_fermat",
-    "free_variables",
-    "parse",
-    "GraphSample",
-    "graph_samples",
-    "render_csv",
-    "render_svg",
+    *(name for names in _LAZY.values() for name in names),
     "errors",
     "__version__",
 ]

@@ -204,6 +204,13 @@ def _taylor_coeff(value, js, name: str, at) -> float:
     return p / (q * math.prod(map(math.factorial, js)))
 
 
+def _log2(v: float) -> int:
+    """log2 v cut toward 0, exactly, from frexp's v = m * 2**x, m in [0.5, 1):
+    so at most 1023, where math.log2 rounds the largest floats up to 1024."""
+    m, x = math.frexp(v)
+    return x - 1 if x > 0 or m == 0.5 else x
+
+
 def ext_apply(f: ElementaryFn, x) -> FermatReal:
     """Extend f to a Fermat-real argument by exact Taylor truncation.
 
@@ -223,7 +230,7 @@ def ext_apply(f: ElementaryFn, x) -> FermatReal:
         )
     if (bound := getattr(f.tower, "bound", None)) is None:
         return _taylor(x, f.tower)
-    e = sorted([0, int(math.log2(bound(r))), int(math.log2(max(map(abs, x.cs), default=1.0)))])[1]
+    e = sorted([0, _log2(bound(r)), _log2(max(map(abs, x.cs), default=1.0))])[1]
     if e > 0:  # log2 m >= frexp's exponent - 1; N = den // ks[0]
         e = max(0, min(e, math.frexp(min(map(abs, x.cs)))[1] - 1 + 1022 // (x.den // x.ks[0])))
     return _taylor(x, lambda r, n: f.tower(r, n, e), math.ldexp(1.0, e))

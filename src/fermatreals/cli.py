@@ -13,7 +13,6 @@ import sys
 from .core import FermatReal, _as_level, _binary64, _format_order, format_real, iota
 from .errors import FermatError, NonPositiveOrderError, ParseError
 from .expr import as_function, evaluate, parse
-from .calculus import derive
 from .order import (
     compare,
     nilpotency_index,
@@ -21,7 +20,6 @@ from .order import (
     product_power_order,
     product_power_zero,
 )
-from .plot import graph_samples, render_csv, render_svg
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _MAX_SAMPLES = 100_000  # plot holds every point: about 0.15 s and 15 MB at this count
@@ -78,6 +76,7 @@ def _cmd_nilpotent(args) -> int:
 
 
 def _cmd_diff(args) -> int:
+    from .calculus import derive  # calculus and plot load only for the commands that run them
     m = derive(as_function(parse(args.expr)), args.at)
     return _emit(args, format_real(m), {"derivative": m})
 
@@ -106,6 +105,7 @@ def _cmd_iota(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from .plot import graph_samples, render_csv, render_svg
     if not 0 < args.delta < math.inf:
         raise _UsageError("--delta must be > 0 and finite")
     if args.samples < 2:

@@ -22,7 +22,9 @@ is a FermatError).
 The parser reads tokens by index from parallel lists of texts and offsets,
 and tells a number, a name and the end of input ``""`` apart by a token's
 first character.  The evaluator branches on the exact node type and calls
-``core.add`` and the like through the module, so rebinding them reaches it.
+``core.add``, ``calculus.ext_apply`` and the like through the module, so
+rebinding them reaches it.  Only a call, or a power with a non-integer
+exponent, imports ``calculus``: arithmetic on the ring never loads it.
 """
 
 from __future__ import annotations
@@ -31,17 +33,13 @@ import re
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from . import calculus, core
-from .calculus import CATALOG, ext_apply
+from . import core
 from .core import FermatReal, as_fermat, dt, from_real
 from .errors import NonPositiveOrderError, ParseError, UnboundVariableError
 
 _MAX_DEPTH = 100
 _MAX_ORDER_DIGITS = 1000
 
-_FUNCTION_ARITY = {name: 1 for name in CATALOG}
-_FUNCTION_ARITY["pow"] = 2
-_FUNCTION_ARITY["log"] = 2
 _ARITHMETIC = {"+": lambda x, y: core.add(x, y), "-": lambda x, y: core.sub(x, y),
                "*": lambda x, y: core.mul(x, y), "/": lambda x, y: core.mul(x, core.invert(y))}
 _BINARY_LEVEL = {"+": 0, "-": 0, "*": 1, "/": 1}
@@ -216,8 +214,9 @@ class _Parser:
 
     def call(self, at: int) -> Expr:  # token at is the name, the next one "("
         name = self.texts[at]
-        arity = _FUNCTION_ARITY.get(name)
-        if arity is None:
+        arity = 2 if name in ("pow", "log") else 1
+        from . import calculus  # the catalog's names, loaded by the first call parsed
+        if arity == 1 and name not in calculus.CATALOG:
             self.fail(at, "a known function name")
         self.i += 1
         args = [self.expression()]
@@ -317,6 +316,7 @@ def _eval(e: Expr, env: Mapping[str, FermatReal]) -> FermatReal:
             base = _eval(e.left, env)
             n = _literal_int(e.right)
             if n is None:
+                from . import calculus
                 return calculus.power(base, _eval(e.right, env))
             return base ** n
         # A flat chain such as 1+1+...+1 nests to the left as deep as it is
@@ -342,12 +342,13 @@ def _eval(e: Expr, env: Mapping[str, FermatReal]) -> FermatReal:
     if kind is Unary:
         return core.neg(_eval(e.operand, env))
     if kind is Call:
+        from . import calculus
         args = [_eval(a, env) for a in e.args]
         if e.name == "pow":
             return calculus.power(args[0], args[1])
         if e.name == "log":
             return calculus.log(args[0], args[1])
-        return ext_apply(CATALOG[e.name], args[0])
+        return calculus.ext_apply(calculus.CATALOG[e.name], args[0])
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -12,6 +12,7 @@ never cross.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .core import _binary64, _natural, as_fermat
@@ -20,6 +21,7 @@ from .errors import NonFiniteError
 _SVG_W = 480.0
 _SVG_H = 360.0
 _SVG_MARGIN = 40.0
+_HALF_MAX = sys.float_info.max / 2
 
 
 class GraphSample(NamedTuple):
@@ -61,9 +63,9 @@ def render_svg(sample: GraphSample, label: str = "") -> str:
     """Deterministic SVG 1.1 picture: the real axis plus the curve."""
     values = [v for v, _ in sample.points]
     vmin, vmax = min(values), max(values)
-    if vmax - vmin < 1e-12:
-        vmin -= 1.0
-        vmax += 1.0
+    if vmax - vmin < 1e-12:  # flat: pad by 1, or by a share of the value where 1 is absorbed
+        pad = max(1.0, abs(vmax) * 2.0**-40) / 2  # on halves, clamped, so the range stays finite
+        vmin, vmax = 2 * max(vmin / 2 - pad, -_HALF_MAX), 2 * min(vmax / 2 + pad, _HALF_MAX)
     span = _SVG_W - 2 * _SVG_MARGIN
     rise = _SVG_H - 2 * _SVG_MARGIN
 

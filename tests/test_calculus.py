@@ -490,20 +490,43 @@ def test_extensions_at_extreme_standard_parts_answer():
     assert helpers.series_error(power(x, from_real(0.5)), ref) <= 1e-13
 
 
+def test_extensions_at_the_largest_float_answer():
+    # log2 of the largest float rounds to 1024, one past the largest scale
+    # 2**1023: the scale's exponent is cut from frexp, so these answer
+    top = 1.7976931348623157e308
+    x = add(top, mul(top, dt(5)))
+    for f, form in _SCALED + [(pow_const(0.5), _pow_fraction_form(0.5))]:
+        coeffs = [form(top, i) / math.factorial(i) for i in range(6)]
+        ref = helpers.oracle_series(coeffs, x)
+        assert helpers.series_error(ext_apply(f, x), ref, floor=2.0**-1068) <= 1e-15, f.name
+    # pow(x, 0.5) is exp(0.5 * ln(x)), whose exp amplifies ln's rounding by |ln x| / 2
+    coeffs = [helpers.fraction_tower("sqrt", top, i) / math.factorial(i) for i in range(6)]
+    assert helpers.series_error(power(x, from_real(0.5)), helpers.oracle_series(coeffs, x)) <= 1e-13
+    x = mul(top, add(-1.0, dt(5)))
+    coeffs = [helpers.fraction_tower("atan", -top, i) / math.factorial(i) for i in range(6)]
+    got = ext_apply(CATALOG["atan"], x)
+    assert helpers.series_error(got, helpers.oracle_series(coeffs, x), floor=2.0**-1068) <= 1e-15
+
+
 def test_scaled_extensions_equal_the_unscaled_sum_at_every_magnitude():
     # standard parts across binary64 and h = r*c*dt[b]: each extension
     # agrees with the exact series (up to 64 subnormal steps where a true
     # coefficient is that small), and wherever the unscaled tower summed on
-    # h's own powers stays in normal binary64, it equals that bit for bit
+    # h's own powers stays in normal binary64, it equals that bit for bit;
+    # also at the largest floats, with h's coefficient as large
     rng = random.Random(46)
     fns = _SCALED + [(pow_const(c), _pow_fraction_form(c)) for c in (0.5, -1.5, 1 / 3)]
     compared = answered = 0
-    for _ in range(150):
-        r = math.ldexp(rng.uniform(1.0, 2.0), rng.randint(-1000, 1000))
-        c, b = rng.uniform(-2.0, 2.0), F(rng.randint(2, 12), 2)
+    draws = [(math.ldexp(rng.uniform(1.0, 2.0), rng.randint(-1000, 1000)), rng.uniform(-2.0, 2.0),
+              F(rng.randint(2, 12), 2)) for _ in range(150)]
+    draws += [(r, c, F(5)) for r in (1.7976931348623157e308, -1.7976931348623157e308)
+              for c in (1.0, -1.0)]
+    for r, c, b in draws:
         h = mul(r * c, dt(b))
         x, n = add(r, h), math.floor(b)
         for f, form in fns:
+            if not f.domain(r):
+                continue
             try:  # OverflowError where an exact coefficient is past binary64
                 coeffs = [form(r, i) / math.factorial(i) for i in range(n + 1)]
                 ref = helpers.oracle_series(coeffs, x)

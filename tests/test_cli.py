@@ -246,6 +246,16 @@ def test_extensions_at_extreme_standard_parts_exit_0(capsys):
         "1e+100 + 5e-101*dt[3] - 1.25e-301*dt[3/2]\n")
 
 
+def test_extensions_at_the_largest_float_exit_0(capsys):
+    # the scale's exponent stops at 1023, where log2 of the largest float rounds to 1024
+    top = "1.7976931348623157e308"
+    for expr in ("sqrt(x)", "ln(x)", "recip(x)", "atan(x)", "pow(x,0.5)"):
+        code, out, err = run(capsys, "eval", expr, "-b", f"x={top}+{top}*dt[5]")
+        assert (code, err, out.count("dt[")) == (0, "", 5), (expr, err)
+    code, out, err = run(capsys, "eval", f"atan({top}*x)", "-b", "x=-1+dt[5]")
+    assert (code, err, out.count("dt[")) == (0, "", 5), err
+
+
 def test_trig_of_an_infinite_standard_part_is_typed(capsys):
     # there is no infinite standard part: its literal is NonFiniteError
     # before any function sees it, whether or not the function has a limit

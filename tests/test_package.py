@@ -58,5 +58,33 @@ def _modules(code: str) -> set[str]:
 def test_a_cli_call_imports_no_heavy_module():
     bare = _modules("import sys")
     used = _modules("import sys, fermatreals.cli as c; c.main(['eval', '1'])")
-    assert "fermatreals.plot" in used
+    assert "fermatreals.expr" in used
     assert HEAVY & used <= bare, sorted(HEAVY & used - bare)
+
+
+LAZY = {"fermatreals.calculus", "fermatreals.expr", "fermatreals.plot"}
+
+
+def test_a_bare_import_loads_calculus_expr_and_plot_on_first_access():
+    used = _modules(f"""import sys, fermatreals as f
+assert not {LAZY!r} & set(sys.modules), sorted(sys.modules)
+for name in f.__all__ + ["calculus", "expr", "plot"]:
+    assert hasattr(f, name), name
+assert f.order is sys.modules["fermatreals.order"].order and f.order(f.dt(3)) == 3
+assert f.calculus is sys.modules["fermatreals.calculus"] and f.CATALOG is f.calculus.CATALOG
+assert f.parse is f.expr.parse and f.render_svg is f.plot.render_svg""")
+    assert LAZY <= used
+
+
+def test_a_cli_call_loads_calculus_and_plot_only_for_what_it_runs(tmp_path):
+    def used(argv):
+        return _modules(f"import sys, fermatreals.cli as c; assert c.main({argv!r}) == 0")
+
+    for argv in (["eval", "1"], ["cmp", "dt[2]", "3*dt[1]"], ["iota", "3 + dt[3]", "--k", "2"],
+                 ["prodzero", "--orders", "6,6,6,2", "--exps", "1,1,1,1"]):
+        assert not {"fermatreals.calculus", "fermatreals.plot"} & used(argv), argv
+    for argv, loaded in ((["eval", "sin(x)", "-b", "x=dt[3]"], {"fermatreals.calculus"}),
+                         (["diff", "sin(t)", "--at", "0"], {"fermatreals.calculus"}),
+                         (["plot", "dt[2]", "--out", str(tmp_path / "dt2.svg")], {"fermatreals.plot"})):
+        assert loaded <= used(argv), argv
+    assert (tmp_path / "dt2.svg").exists()

@@ -51,6 +51,17 @@ def test_render_svg_of_a_value_range_past_binary64_is_finite():
     assert "nan" not in svg and "inf" not in svg
 
 
+def test_render_svg_of_a_flat_curve_past_2_53_is_finite():
+    # a pad of 1 is absorbed there: the pad grows with the value, and stays
+    # inside binary64 at the largest floats
+    for text in ("1e16", "1e300", "1.7976931348623157e308+dt[2]", "-1.7976931348623157e308"):
+        value = evaluate(parse(text))
+        svg = render_svg(graph_samples(value, 0.01, 64), label=text)
+        assert "nan" not in svg and "inf" not in svg, text
+        lo, hi = map(float, svg.split("value range [")[1].split("]")[0].split(", "))
+        assert lo < hi and lo <= value.std <= hi, text
+
+
 def test_dt2_dominates_dt1_pointwise():
     a = graph_samples(dt(1), 0.01, 64)
     b = graph_samples(dt(2), 0.01, 64)
