@@ -1,12 +1,14 @@
 """Command-line interface: ``fermat <subcommand> [args]``.
 
-Exit codes: 0 ok, 2 parse error, 3 evaluation or internal error, 4 I/O error.
+Exit codes: 0 ok, 2 parse error or bad flag value, 3 evaluation or internal
+error, 4 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import sys
 
@@ -218,5 +220,26 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> None:
+    """The process entry point: ``main()``, then exit once the output is flushed.
+
+    ``os._exit`` skips interpreter finalization (module teardown, the final
+    collection, freeing every object), a fixed cost that a one-shot process
+    gains nothing from, so atexit handlers registered in it do not run.
+    Nothing here needs them: ``plot`` closes its file before ``main``
+    returns.  A flush that fails, on a closed pipe or a full disk, keeps
+    ``sys.exit``, whose own flush reports it as it always has.  argparse's
+    exits (``--help``, usage errors) raise ``SystemExit`` and never get here.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed at start
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -26,6 +26,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def spawn(*argv, stdout=subprocess.PIPE):
+    """Run a real ``python -m fermatreals`` process, which ends through cli.run,
+    with its stdout block-buffered as it is by default."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "fermatreals", *argv], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
+
+
 def test_eval_inverse(capsys):
     code, out, err = run(capsys, "eval", "(1+dt[2])^-1")
     assert code == 0 and out == "1 - dt[2] + dt[1]\n" and err == ""
@@ -225,13 +234,10 @@ _FAR_STANDARD_PARTS += ["pow(1e-200+1e-200*dt[3], 0.5)", "atan(1e200+1e200*dt[3]
 
 
 def test_extensions_at_extreme_standard_parts_exit_0(capsys):
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     for expr in _FAR_STANDARD_PARTS:
         code, out, err = run(capsys, "eval", expr)
         assert (code, err, out.count("dt[")) == (0, "", 3), (expr, err)
-        proc = subprocess.run([sys.executable, "-m", "fermatreals", "eval", expr],
-                              env=dict(os.environ, PYTHONPATH=path), capture_output=True,
-                              text=True, timeout=60)
+        proc = spawn("eval", expr)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, ""), expr
     # one rounding of h/2**e's exact powers each: 1/r**2 * 2**e rounds, then
     # its product with u does; invert divides h by std and rounds once there
@@ -378,6 +384,45 @@ def test_unexpected_error_is_one_line_exit_3(capsys, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         main(["eval", "1"])
 
+
+# 139,171 bytes of output, more than a 64 KiB pipe buffer holds
+_LONG_OUTPUT = ("eval", "(1.5+dt[5000])^-1")
+
+
+@pytest.mark.parametrize("argv, code", [(_LONG_OUTPUT, 0), (("eval", "1+"), 2),
+                                        (("eval", "dt[2]^-1"), 3)])
+def test_a_process_exits_with_all_that_main_wrote(capsys, argv, code):
+    # cli.run ends the process with os._exit once stdout and stderr are flushed
+    expected = run(capsys, *argv)
+    if code == 0:
+        assert len(expected[1].encode()) > 1 << 16 and expected[2] == ""
+    else:
+        assert expected[1] == "" and expected[2].startswith("fermat: ")
+        assert expected[2].count("\n") == 1
+    assert expected[0] == code
+    proc = spawn(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+def test_help_exits_0_through_argparse():
+    proc = spawn("--help")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: fermat ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("argv", [_LONG_OUTPUT, ("eval", "1")])
+def test_a_full_disk_is_reported(argv):
+    # the long output fails inside main, exit 4; the short one only at the
+    # flush after main, which cli.run leaves to sys.exit to report
+    with open("/dev/full", "w") as full:
+        proc = spawn(*argv, stdout=full)
+    assert proc.returncode != 0
+    assert proc.stderr.endswith("[Errno 28] No space left on device\n"), proc.stderr
+    if argv == _LONG_OUTPUT:
+        assert (proc.returncode, proc.stderr) == (4, "fermat: [Errno 28] No space left on device\n")
+
+
 def test_plot_csv(tmp_path, capsys):
     out_path = tmp_path / "curve.csv"
     code, _, _ = run(
@@ -415,12 +460,7 @@ def test_plot_bad_delta(tmp_path, capsys):
     huge = "1" + "0" * 310
     code, _, err = run(capsys, "plot", "7", "--samples", huge, "--out", str(tmp_path / "x.svg"))
     assert code == 2 and err == "fermat: --delta * (--samples - 1) must be finite\n"
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fermatreals", "plot", "7", "--samples", huge,
-         "--out", str(tmp_path / "x.svg")],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
-    )
+    proc = spawn("plot", "7", "--samples", huge, "--out", str(tmp_path / "x.svg"))
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         2, "", "fermat: --delta * (--samples - 1) must be finite\n")
     # a finite count is built point by point, so it is capped

@@ -4,6 +4,7 @@ CLI call imports."""
 from __future__ import annotations
 
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -88,3 +89,24 @@ def test_a_cli_call_loads_calculus_and_plot_only_for_what_it_runs(tmp_path):
                          (["plot", "dt[2]", "--out", str(tmp_path / "dt2.svg")], {"fermatreals.plot"})):
         assert loaded <= used(argv), argv
     assert (tmp_path / "dt2.svg").exists()
+
+
+def test_the_readme_examples_register_no_exit_handler(tmp_path):
+    # cli.run ends a process with os._exit, so an atexit handler that the CLI
+    # path registers (logging, tempfile, weakref.finalize) would never run
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    examples = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line, comments=True)[1:] for line in examples.splitlines()]
+    assert {argv[0] for argv in argvs} == {"eval", "cmp", "order", "nilpotent", "diff",
+                                           "prodzero", "iota", "plot"}
+    for argv in argvs:
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+    _modules(f"""import atexit, sys
+before = atexit._ncallbacks()
+from fermatreals import cli
+for argv in {argvs!r}:
+    assert cli.main(argv) == 0, argv
+assert atexit._ncallbacks() == before, (before, atexit._ncallbacks())""")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dt2.csv", "dt2.svg"]
