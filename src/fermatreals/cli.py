@@ -223,13 +223,11 @@ def main(argv=None) -> int:
 def run() -> None:
     """The process entry point: ``main()``, then exit once the output is flushed.
 
-    ``os._exit`` skips interpreter finalization (module teardown, the final
-    collection, freeing every object), a fixed cost that a one-shot process
-    gains nothing from, so atexit handlers registered in it do not run.
-    Nothing here needs them: ``plot`` closes its file before ``main``
-    returns.  A flush that fails, on a closed pipe or a full disk, keeps
-    ``sys.exit``, whose own flush reports it as it always has.  argparse's
-    exits (``--help``, usage errors) raise ``SystemExit`` and never get here.
+    ``os._exit`` skips interpreter finalization, a fixed cost that a one-shot
+    process gains nothing from, so no atexit handler runs; ``plot`` closes its
+    file before ``main`` returns.  A flush that fails, on a closed pipe or a
+    full disk, leaves the exit to ``sys.exit``, whose own flush reports it.
+    argparse's exits (``--help``, usage errors) raise ``SystemExit`` in ``main``.
     """
     code = main()
     try:

@@ -26,12 +26,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def spawn(*argv, stdout=subprocess.PIPE):
+def spawn(*argv, stdout=subprocess.PIPE, python=("-m", "fermatreals")):
     """Run a real ``python -m fermatreals`` process, which ends through cli.run,
     with its stdout block-buffered as it is by default."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "fermatreals", *argv], env=env,
+    return subprocess.run([sys.executable, *python, *argv], env=env,
                           stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
 
 
@@ -408,6 +408,15 @@ def test_help_exits_0_through_argparse():
     proc = spawn("--help")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("usage: fermat ")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor, then execs")
+def test_a_closed_stdout_exits_0():
+    # with descriptor 1 closed at start, sys.stdout is None and print writes nothing
+    proc = spawn("eval", "1", python=("-c", "import os, sys; os.close(1); os.execv("
+                                      "sys.executable, [sys.executable, *sys.argv[1:]])",
+                                      "-m", "fermatreals"))
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
