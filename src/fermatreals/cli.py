@@ -2,6 +2,9 @@
 
 Exit codes: 0 ok, 2 parse error or bad flag value, 3 evaluation or internal
 error, 4 I/O error.
+
+The grammar is one table, ``_COMMANDS``: a call builds the parser of its own
+subcommand alone, and the whole grammar only for help or a usage error.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ def _bindings(args) -> dict[str, FermatReal]:
     for item in args.bind or []:
         name, sep, text = item.partition("=")
         if not sep or not _NAME_RE.match(name):
-            raise FermatError(f"bad binding {item!r}: expected name=expression")
+            raise _UsageError(f"bad binding {item!r}: expected name=expression")
         env[name] = evaluate(parse(text))
     return env
 
@@ -78,6 +81,8 @@ def _cmd_nilpotent(args) -> int:
 
 
 def _cmd_diff(args) -> int:
+    if not math.isfinite(args.at):
+        raise _UsageError("--at must be finite")
     from .calculus import derive  # calculus and plot load only for the commands that run them
     m = derive(as_function(parse(args.expr)), args.at)
     return _emit(args, format_real(m), {"derivative": m})
@@ -127,83 +132,64 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-def _add_common(sub, bind=True):
+# name: (aliases, help, positionals, own options as add_argument keywords,
+# takes -b/--bind); the handler is _cmd_<name>, looked up when a parser is built
+_COMMANDS = {
+    "eval": (["canon"], "evaluate an expression to canonical form", ["expr"], {}, True),
+    "cmp": ([], "compare two expressions: LT, EQ or GT", ["left", "right"], {}, True),
+    "order": ([], "order of the value (0 for plain reals)", ["expr"], {}, True),
+    "nilpotent": ([], "smallest k with value**k == 0, or none", ["expr"], {}, True),
+    "diff": ([], "derivative of a one-variable expression", ["expr"],
+             {"--at": dict(type=float, required=True, metavar="X")}, True),
+    "prodzero": ([], "decide whether a product of powers of infinitesimals is 0", [],
+                 {"--orders": dict(required=True, help="comma-separated orders, e.g. 6,6,6,2"),
+                  "--exps": dict(required=True, help="comma-separated natural exponents")},
+                 False),
+    "iota": ([], "truncate: drop terms of order <= K", ["expr"],
+             {"--k": dict(required=True, metavar="K", help="rational level, or 'inf'")}, True),
+    "plot": ([], "write the representing curve as SVG or CSV", ["expr"],
+             {"--delta": dict(type=float, default=0.01), "--samples": dict(type=int, default=64),
+              "--out": dict(required=True), "--format": dict(choices=("svg", "csv"), default="svg")},
+             True),
+}
+
+
+def _arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, _, positionals, options, bind = _COMMANDS[name]
+    for dest in positionals:
+        parser.add_argument(dest)
+    for flag, kwargs in options.items():
+        parser.add_argument(flag, **kwargs)
     if bind:
-        sub.add_argument(
-            "-b",
-            "--bind",
-            action="append",
-            metavar="NAME=EXPR",
-            help="bind a variable (repeatable)",
-        )
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
+        parser.add_argument("-b", "--bind", action="append", metavar="NAME=EXPR",
+                            help="bind a variable (repeatable)")
+    parser.add_argument("--json", action="store_true", help="machine-readable output")
+    parser.set_defaults(handler=globals()[f"_cmd_{name}"])
+    return parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _parser() -> argparse.ArgumentParser:
+    """The whole grammar, for top-level help and usage errors."""
     p = argparse.ArgumentParser(
         prog="fermat",
         description="Arithmetic with nilpotent infinitesimals: evaluate, "
         "compare, differentiate, decide nilpotency, and plot.",
     )
     subs = p.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser(
-        "eval", aliases=["canon"], help="evaluate an expression to canonical form"
-    )
-    s.add_argument("expr")
-    _add_common(s)
-    s.set_defaults(handler=_cmd_eval)
-
-    s = subs.add_parser("cmp", help="compare two expressions: LT, EQ or GT")
-    s.add_argument("left")
-    s.add_argument("right")
-    _add_common(s)
-    s.set_defaults(handler=_cmd_cmp)
-
-    s = subs.add_parser("order", help="order of the value (0 for plain reals)")
-    s.add_argument("expr")
-    _add_common(s)
-    s.set_defaults(handler=_cmd_order)
-
-    s = subs.add_parser("nilpotent", help="smallest k with value**k == 0, or none")
-    s.add_argument("expr")
-    _add_common(s)
-    s.set_defaults(handler=_cmd_nilpotent)
-
-    s = subs.add_parser("diff", help="derivative of a one-variable expression")
-    s.add_argument("expr")
-    s.add_argument("--at", type=float, required=True, metavar="X")
-    _add_common(s)
-    s.set_defaults(handler=_cmd_diff)
-
-    s = subs.add_parser(
-        "prodzero", help="decide whether a product of powers of infinitesimals is 0"
-    )
-    s.add_argument("--orders", required=True, help="comma-separated orders, e.g. 6,6,6,2")
-    s.add_argument("--exps", required=True, help="comma-separated natural exponents")
-    _add_common(s, bind=False)
-    s.set_defaults(handler=_cmd_prodzero)
-
-    s = subs.add_parser("iota", help="truncate: drop terms of order <= K")
-    s.add_argument("expr")
-    s.add_argument("--k", required=True, metavar="K", help="rational level, or 'inf'")
-    _add_common(s)
-    s.set_defaults(handler=_cmd_iota)
-
-    s = subs.add_parser("plot", help="write the representing curve as SVG or CSV")
-    s.add_argument("expr")
-    s.add_argument("--delta", type=float, default=0.01)
-    s.add_argument("--samples", type=int, default=64)
-    s.add_argument("--out", required=True)
-    s.add_argument("--format", choices=("svg", "csv"), default="svg")
-    _add_common(s)
-    s.set_defaults(handler=_cmd_plot)
-
+    for name, (aliases, text, *_) in _COMMANDS.items():
+        _arguments(subs.add_parser(name, aliases=aliases, help=text), name)
     return p
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    first = argv[0] if argv else None
+    name = next((n for n, (aliases, *_) in _COMMANDS.items() if first in (n, *aliases)), None)
+    if name is not None:
+        args, extra = _arguments(argparse.ArgumentParser(prog=f"fermat {name}"),
+                                 name).parse_known_args(argv[1:])
+    if name is None or extra:
+        args = _parser().parse_args(argv)  # exits: help, or a usage error at the top level
     try:
         return args.handler(args)
     except (ParseError, NonPositiveOrderError, _UsageError) as e:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -44,6 +46,15 @@ def test_eval_with_binding(capsys):
     code, out, _ = run(capsys, "eval", "sin(x)", "-b", "x=dt[3]")
     assert code == 0
     assert out == "dt[3] - 0.16666666666666666*dt[1]\n"
+
+
+def test_a_malformed_binding_exits_2(capsys):
+    for item in ("1x=2", "x", "=1", "x y=1"):
+        assert run(capsys, "eval", "1", "-b", item) == (
+            2, "", f"fermat: bad binding {item!r}: expected name=expression\n")
+    # the bound expression's own errors keep their codes
+    assert run(capsys, "eval", "x", "-b", "x=dt[")[0] == 2
+    assert run(capsys, "eval", "x", "-b", "x=1/dt[2]")[0] == 3
 
 
 def test_eval_parse_error_exit_2(capsys):
@@ -482,6 +493,12 @@ def test_plot_bad_delta(tmp_path, capsys):
     assert not (tmp_path / "x.svg").exists()
 
 
+def test_diff_non_finite_at(capsys):
+    for text in ("nan", "inf", "-inf", "1e309"):
+        assert run(capsys, "diff", "sin(t)", f"--at={text}") == (
+            2, "", "fermat: --at must be finite\n"), text
+
+
 def test_plot_of_a_non_finite_curve_exit_3(tmp_path, capsys):
     out_path = tmp_path / "curve.csv"
     code, out, err = run(
@@ -514,3 +531,45 @@ def test_plot_svg_real_vertical_golden(tmp_path, capsys):
     code, _, _ = run(capsys, "plot", "1", "--out", str(out_path))
     assert code == 0
     assert out_path.read_bytes() == (GOLDEN / "real1_default.svg").read_bytes()
+
+
+def test_usage_help_and_flag_forms_match_the_golden(capsys, monkeypatch):
+    """Help texts, usage errors, and the --opt=value and -- forms: stdout,
+    stderr and exit code as the grammar printed them before it became one
+    command table.  argparse's layout varies by Python minor version, so on
+    another version a case that prints a usage compares its exit code only."""
+    golden = json.loads((GOLDEN / "cli_usage.json").read_text(encoding="utf-8"))
+    monkeypatch.setenv("COLUMNS", str(golden["columns"]))
+    same_python = golden["python"] == "%d.%d" % sys.version_info[:2]
+    for case in golden["cases"]:
+        try:
+            code = main(case["argv"])
+        except SystemExit as e:
+            code = e.code
+        got, want = (code, *capsys.readouterr()), (case["code"], case["out"], case["err"])
+        if not same_python and "usage: " in case["out"] + case["err"]:
+            got, want = got[0], want[0]
+        assert got == want, case["argv"]
+
+
+def test_a_call_builds_only_its_own_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(capsys, "eval", "1") == (0, "1\n", "")
+    assert run(capsys, "canon", "1") == (0, "1\n", "")
+    assert built == ["fermat eval", "fermat eval"]
+
+
+def test_the_readme_cli_block_lists_every_flag():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    for name in cli._COMMANDS:
+        for action in cli._arguments(argparse.ArgumentParser(), name)._actions:
+            for flag in set(action.option_strings) - {"-h", "--help"}:
+                assert re.search(rf"(?<![\w-]){flag}(?![\w-])", block), (name, flag)
