@@ -3,8 +3,8 @@
 Exit codes: 0 ok, 2 parse error or bad flag value, 3 evaluation or internal
 error, 4 I/O error.
 
-The grammar is one table, ``_COMMANDS``: a call builds the parser of its own
-subcommand alone, and the whole grammar only for help or a usage error.
+The grammar is one table, ``_COMMANDS``, with a row of arguments per
+subcommand; ``_parser`` builds the argparse parser from it.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 import os
 import re
 import sys
+from typing import NamedTuple
 
 from .core import FermatReal, _as_level, _binary64, _format_order, format_real, iota
 from .errors import FermatError, NonPositiveOrderError, ParseError
@@ -93,7 +94,7 @@ def _cmd_prodzero(args) -> int:
     try:
         exps = [int(piece.strip()) for piece in args.exps.split(",")]
     except ValueError:
-        raise FermatError(f"bad exponent list: {args.exps!r}") from None
+        raise _UsageError(f"bad exponent list: {args.exps!r}") from None
     if product_power_zero(orders, exps):
         return _emit(args, "zero", {"zero": True, "order": None})
     text = _format_order(*product_power_order(orders, exps).as_integer_ratio())
@@ -132,64 +133,82 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-# name: (aliases, help, positionals, own options as add_argument keywords,
-# takes -b/--bind); the handler is _cmd_<name>, looked up when a parser is built
+class _Command(NamedTuple):
+    """A subcommand; its handler, ``_cmd_<name>``, is looked up when a parser is built."""
+    help: str
+    positionals: tuple[str, ...] = ("expr",)
+    options: dict = {}  # flag: add_argument keywords
+    bind: bool = True  # takes -b/--bind
+    aliases: tuple[str, ...] = ()
+
+
 _COMMANDS = {
-    "eval": (["canon"], "evaluate an expression to canonical form", ["expr"], {}, True),
-    "cmp": ([], "compare two expressions: LT, EQ or GT", ["left", "right"], {}, True),
-    "order": ([], "order of the value (0 for plain reals)", ["expr"], {}, True),
-    "nilpotent": ([], "smallest k with value**k == 0, or none", ["expr"], {}, True),
-    "diff": ([], "derivative of a one-variable expression", ["expr"],
-             {"--at": dict(type=float, required=True, metavar="X")}, True),
-    "prodzero": ([], "decide whether a product of powers of infinitesimals is 0", [],
-                 {"--orders": dict(required=True, help="comma-separated orders, e.g. 6,6,6,2"),
-                  "--exps": dict(required=True, help="comma-separated natural exponents")},
-                 False),
-    "iota": ([], "truncate: drop terms of order <= K", ["expr"],
-             {"--k": dict(required=True, metavar="K", help="rational level, or 'inf'")}, True),
-    "plot": ([], "write the representing curve as SVG or CSV", ["expr"],
-             {"--delta": dict(type=float, default=0.01), "--samples": dict(type=int, default=64),
-              "--out": dict(required=True), "--format": dict(choices=("svg", "csv"), default="svg")},
-             True),
+    "eval": _Command("evaluate an expression to canonical form", aliases=("canon",)),
+    "cmp": _Command("compare two expressions: LT, EQ or GT", positionals=("left", "right")),
+    "order": _Command("order of the value (0 for plain reals)"),
+    "nilpotent": _Command("smallest k with value**k == 0, or none"),
+    "diff": _Command(
+        "derivative of a one-variable expression",
+        options={"--at": dict(type=float, required=True, metavar="X")},
+    ),
+    "prodzero": _Command(
+        "decide whether a product of powers of infinitesimals is 0",
+        positionals=(),
+        options={
+            "--orders": dict(required=True, help="comma-separated orders, e.g. 6,6,6,2"),
+            "--exps": dict(required=True, help="comma-separated natural exponents"),
+        },
+        bind=False,
+    ),
+    "iota": _Command(
+        "truncate: drop terms of order <= K",
+        options={"--k": dict(required=True, metavar="K", help="rational level, or 'inf'")},
+    ),
+    "plot": _Command(
+        "write the representing curve as SVG or CSV",
+        options={
+            "--delta": dict(type=float, default=0.01),
+            "--samples": dict(type=int, default=64),
+            "--out": dict(required=True),
+            "--format": dict(choices=("svg", "csv"), default="svg"),
+        },
+    ),
 }
 
 
 def _arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    _, _, positionals, options, bind = _COMMANDS[name]
-    for dest in positionals:
+    command = _COMMANDS[name]
+    for dest in command.positionals:
         parser.add_argument(dest)
-    for flag, kwargs in options.items():
+    for flag, kwargs in command.options.items():
         parser.add_argument(flag, **kwargs)
-    if bind:
-        parser.add_argument("-b", "--bind", action="append", metavar="NAME=EXPR",
-                            help="bind a variable (repeatable)")
+    if command.bind:
+        parser.add_argument(
+            "-b",
+            "--bind",
+            action="append",
+            metavar="NAME=EXPR",
+            help="bind a variable (repeatable)",
+        )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.set_defaults(handler=globals()[f"_cmd_{name}"])
     return parser
 
 
 def _parser() -> argparse.ArgumentParser:
-    """The whole grammar, for top-level help and usage errors."""
     p = argparse.ArgumentParser(
         prog="fermat",
         description="Arithmetic with nilpotent infinitesimals: evaluate, "
         "compare, differentiate, decide nilpotency, and plot.",
     )
     subs = p.add_subparsers(dest="command", required=True)
-    for name, (aliases, text, *_) in _COMMANDS.items():
-        _arguments(subs.add_parser(name, aliases=aliases, help=text), name)
+    for name, command in _COMMANDS.items():
+        _arguments(subs.add_parser(name, aliases=command.aliases, help=command.help), name)
     return p
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    first = argv[0] if argv else None
-    name = next((n for n, (aliases, *_) in _COMMANDS.items() if first in (n, *aliases)), None)
-    if name is not None:
-        args, extra = _arguments(argparse.ArgumentParser(prog=f"fermat {name}"),
-                                 name).parse_known_args(argv[1:])
-    if name is None or extra:
-        args = _parser().parse_args(argv)  # exits: help, or a usage error at the top level
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ParseError, NonPositiveOrderError, _UsageError) as e:

@@ -151,6 +151,15 @@ def test_prodzero_bad_order_is_an_evaluation_error(capsys):
     assert code == 3 and err == "fermat: invalid factor order: 'x'\n"
 
 
+def test_prodzero_malformed_exps_exits_2(capsys):
+    for text in ("x", "1,,1", "1.5", ""):
+        assert run(capsys, "prodzero", "--orders", "2", f"--exps={text}") == (
+            2, "", f"fermat: bad exponent list: {text!r}\n"), text
+    # a well-formed exponent out of range is the library's error
+    code, _, err = run(capsys, "prodzero", "--orders", "2", "--exps", "-1")
+    assert code == 3 and "natural number" in err
+
+
 def test_eval_coefficient_overflow_exit_3(capsys):
     code, out, err = run(capsys, "eval", "1e308*dt[1]+1e308*dt[1]")
     assert code == 3 and out == "" and "Traceback" not in err
@@ -550,20 +559,6 @@ def test_usage_help_and_flag_forms_match_the_golden(capsys, monkeypatch):
         if not same_python and "usage: " in case["out"] + case["err"]:
             got, want = got[0], want[0]
         assert got == want, case["argv"]
-
-
-def test_a_call_builds_only_its_own_parser(capsys, monkeypatch):
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    assert run(capsys, "eval", "1") == (0, "1\n", "")
-    assert run(capsys, "canon", "1") == (0, "1\n", "")
-    assert built == ["fermat eval", "fermat eval"]
 
 
 def test_the_readme_cli_block_lists_every_flag():
