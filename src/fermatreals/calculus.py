@@ -6,9 +6,9 @@ infinitesimal part) is a *finite* Taylor sum
     sum_{i=0..N} a_i * h**i,      a_i = f_i(r)/i!,  N = floor(order(h)),
 
 exact because h**(N+1) vanishes, so N is known before any a_i is needed.
-Each catalog function's ``tower(r, n)`` returns the list a_0 .. a_n, built
-in one loop that steps exact integer pairs (p, q) by a recurrence and rounds
-each a_i = p / q once: correctly, even where f_i(r) itself is past binary64.
+Each catalog function's ``tower(r, n)`` is the list a_0 .. a_n: its fill
+steps exact integers by a recurrence and puts each a_i as p / q * 2**k, and
+the tower alone scales and rounds it, once, even where f_i(r) is past binary64.
 
 Also here: the first-derivative extractor built on square-zero
 increments, powers and logarithms with positive invertible bases, and
@@ -52,30 +52,30 @@ from .order import in_ideal
 
 _DT1 = dt(1)
 
-# -- Taylor-coefficient towers: a_0 .. a_n, each the exact p / q rounded once
+# -- Taylor-coefficient towers: each fill puts a_0 .. a_n as exact integers
 
-def _cycle(values: tuple, n: int, out: list) -> None:
+def _cycle(values: tuple, n: int, put) -> None:
     """p / (q * i!) for derivatives f_i(r) = p / q that repeat ``values``;
     i! stops growing past 2**2200, where p / q over either is the same signed 0."""
     pqs, scale = [v.as_integer_ratio() for v in values], 1
     for i in range(n + 1):
         p, q = pqs[i % len(pqs)]
-        out.append(p / (q * scale))
+        put(p, q * scale)
         if scale.bit_length() <= 2200:
             scale *= i + 1
 
 
-def _tan_tower(r: float, n: int, out: list) -> None:
+def _tan_tower(r: float, n: int, put) -> None:
     """With tan(r) = t/d, a_k = A_k / (k! * d**(k+1)): A_0 = t, A_1 = t*t + d*d
     from tan' = 1 + tan**2, whose Cauchy product gives the integers
     A_{k+1} = sum_j C(k, j) * A_j * A_{k-j}, each symmetric pair once, along
     a running binomial row."""
     t, d = math.tan(r).as_integer_ratio()
     A, q = [t, t * t + d * d], d
-    out.append(t / q)
+    put(t, q)
     for k in range(1, n + 1):
         q *= k * d
-        out.append(A[k] / q)
+        put(A[k], q)
         if k < n:
             s, c = 0, 1
             for j in range((k + 1) // 2):
@@ -84,60 +84,52 @@ def _tan_tower(r: float, n: int, out: list) -> None:
             A.append(2 * s + (0 if k % 2 else c * A[k // 2] ** 2))
 
 
-def _atan_tower(r: float, n: int, out: list, e: int = 0) -> None:
+def _atan_tower(r: float, n: int, put) -> None:
     """atan' = Im(1 / (r - 1j)), so a_i = Im((-1)**(i-1) / (r - 1j)**i) / i
     for i >= 1, and 1 / (r - 1j) = d * (m + d*1j) / (m*m + d*d) at r = m/d:
-    one Gaussian-integer step per i, with (d * 2**e)**i (d a power of two) a shift."""
-    p, q = math.atan(r).as_integer_ratio()
-    out.append(p / q)
+    one Gaussian-integer step per i, with d**i (d a power of two) a shift."""
+    put(*math.atan(r).as_integer_ratio())
     m, d = r.as_integer_ratio()
-    mm, k, re, im, q = m * m + d * d, d.bit_length() - 1 + e, -1, 0, 1
+    mm, k, re, im, q = m * m + d * d, d.bit_length() - 1, -1, 0, 1
     for i in range(1, n + 1):
         re, im, q = im * d - re * m, -re * d - im * m, q * mm
-        out.append((im << k * i) / (i * q) if k >= 0 else im / ((i * q) << -k * i))
+        put(im, i * q, k * i)
 
 
-def _power_tower(c: Fraction, value, r: float, n: int, out: list, e: int = 0) -> None:
+def _power_tower(c: Fraction, value, r: float, n: int, put) -> None:
     """r**c by a_{i+1} = a_i * (c - i) / ((i + 1) * r) on the integers of
-    r / 2**e = m/d, from the exact r**c for an integer |c| <= 1024 (past
-    that, powers of r run to megabits), with a_i = C(c, i) * r**(c-i) for
-    i < c so that r = 0 divides nothing there; else from ``value(r)``, which
-    for sqrt is math.sqrt, since ``r**0.5`` is not always sqrt(r)."""
+    r = m/d, from the exact r**c for an integer |c| <= 1024 (past that,
+    powers of r run to megabits), with a_i = C(c, i) * r**(c-i) for i < c
+    so that r = 0 divides nothing there; else from ``value(r)``, which for
+    sqrt is math.sqrt, since ``r**0.5`` is not always sqrt(r)."""
     (p, q), (m, d) = c.as_integer_ratio(), r.as_integer_ratio()
-    up, down = max(e, 0), max(-e, 0)  # 2**e is 2**up / 2**down
-    exact = q == 1 and abs(p) <= 1024
-    if exact:
-        for i in range(min(p, n + 1)):
-            out.append((math.comb(p, i) * m ** (p - i) << up * i) / (d ** (p - i) << down * i))
-        if len(out) > n:
-            return
-        a, b = (1 << up * p, 1 << down * p) if p >= 0 else (d**-p, m**-p)
+    if q == 1 and abs(p) <= 1024:
+        start, a, b = (p, 1, 1) if p >= 0 else (0, d**-p, m**-p)
+        for i in range(min(start, n + 1)):
+            put(math.comb(p, i) * m ** (p - i), d ** (p - i))
     else:
-        a, b = value(r).as_integer_ratio()
-    out.append(a / b)
-    m, d = abs(m) << down, (-d if m < 0 else d) << up  # r / 2**e; b keeps its sign
-    for i in range(len(out) - 1, n):
+        start, (a, b) = 0, value(r).as_integer_ratio()
+    m, d = abs(m), -d if m < 0 else d  # b keeps its sign
+    for i in range(start, n + 1):
+        put(a, b)
         a, b = a * (p - i * q) * d, b * (i + 1) * q * m
-        out.append(a / b)
 
 
-def _ln_tower(r: float, n: int, out: list, e: int = 0) -> None:
-    """a_i = (-1)**(i-1) / (i * r**i), i >= 1, on the integers of r / 2**e."""
-    p, q = math.log(r).as_integer_ratio()
-    out.append(p / q)
+def _ln_tower(r: float, n: int, put) -> None:
+    """a_i = (-1)**(i-1) / (i * r**i), i >= 1, on the integers of r = m/d."""
+    put(*math.log(r).as_integer_ratio())
     (m, d), a, b = r.as_integer_ratio(), -1, 1
-    m, d = m << max(-e, 0), d << max(e, 0)  # r / 2**e
     for i in range(1, n + 1):
         a, b = -a * d, b * m
-        out.append(a / (b * i))
+        put(a, b * i)
 
 
 class ElementaryFn(NamedTuple):
     """A smooth function with exact Taylor coefficients: ``tower(r, n)`` is
-    the list a_0 .. a_n, a_i = f_i(r) / i! at the real point r, each exactly
-    p / q rounded once (f(r) is the float where f is transcendental); the
-    first with no finite binary64 value raises NonFiniteError naming its
-    index.  ``domain`` checks an argument's standard part."""
+    the list a_0 .. a_n, a_i = f_i(r) / i! at the real point r, each put as
+    exact integers and rounded once by the tower (f(r) is the float where f
+    is transcendental); the first with no finite binary64 value raises
+    NonFiniteError naming its index.  ``domain`` checks an argument's standard part."""
 
     name: str
     tower: Callable[[float, int], list]
@@ -149,14 +141,22 @@ class ElementaryFn(NamedTuple):
 
 
 def _fn(name: str, fill, domain, domain_desc: str, bound=None) -> ElementaryFn:
-    """Its ``tower(r, n)`` is the list ``fill(r, n, out)`` appends a_0 .. a_n to,
-    and given a ``tower.bound``, ``tower(r, n, e)`` that of a_i * 2**(e*i);
-    an OverflowError at index i is NonFiniteError naming i."""
+    """Its ``tower(r, n)`` is the list a_0 .. a_n that ``fill(r, n, put)`` puts,
+    in order and exactly: ``put(p, q, k=0)`` is a_i = p / q * 2**k, rounded once
+    as it is put.  With a ``tower.bound``, ``tower(r, n, e)`` adds e*i to k, for
+    a_i * 2**(e*i); the first OverflowError, at i, is NonFiniteError naming i."""
 
-    def tower(r: float, n: int, *e) -> list:
+    def tower(r: float, n: int, e: int = 0) -> list:
+        if e and bound is None:  # _cycle's capped i! is no scaled coefficient
+            raise TypeError(f"{name}: tower takes no scale")
         out = []
+
+        def put(p: int, q: int, k: int = 0) -> None:
+            k += e * len(out)
+            out.append((p << k) / q if k >= 0 else p / (q << -k))
+
         try:
-            fill(r, n, out, *e)
+            fill(r, n, put)
         except OverflowError:
             raise _non_finite(name, (len(out),), (r,)) from None
         return out
@@ -166,12 +166,12 @@ def _fn(name: str, fill, domain, domain_desc: str, bound=None) -> ElementaryFn:
 
 
 _ANY, _POSITIVE = "any real", "standard part > 0"
-EXP = _fn("exp", lambda r, n, out: _cycle((math.exp(r),), n, out), lambda r: True, _ANY)
+EXP = _fn("exp", lambda r, n, put: _cycle((math.exp(r),), n, put), lambda r: True, _ANY)
 LN = _fn("ln", _ln_tower, lambda r: r > 0, _POSITIVE, abs)
-SIN = _fn("sin", lambda r, n, out: _cycle(
-    (math.sin(r), math.cos(r), -math.sin(r), -math.cos(r)), n, out), lambda r: True, _ANY)
-COS = _fn("cos", lambda r, n, out: _cycle(
-    (math.cos(r), -math.sin(r), -math.cos(r), math.sin(r)), n, out), lambda r: True, _ANY)
+SIN = _fn("sin", lambda r, n, put: _cycle(
+    (math.sin(r), math.cos(r), -math.sin(r), -math.cos(r)), n, put), lambda r: True, _ANY)
+COS = _fn("cos", lambda r, n, put: _cycle(
+    (math.cos(r), -math.sin(r), -math.cos(r), math.sin(r)), n, put), lambda r: True, _ANY)
 TAN = _fn("tan", _tan_tower, lambda r: math.cos(r) != 0.0, "cos(standard part) != 0")
 ATAN = _fn("atan", _atan_tower, lambda r: True, _ANY, lambda r: max(abs(r), 1.0))
 SQRT = _fn("sqrt", partial(_power_tower, Fraction(1, 2), math.sqrt), lambda r: r > 0,

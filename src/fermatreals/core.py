@@ -43,15 +43,30 @@ from typing import Iterable, NamedTuple, Tuple, Union
 from .errors import FermatError, NonFiniteError, NonPositiveOrderError, NotInvertibleError
 
 RationalLike = Union[int, Fraction, str]
+_MAX_ORDER_DIGITS = 1000  # a dt literal's digits; any exact string's decimal exponent
+
+
+def _long_exponent(text: str) -> bool:
+    """Whether a decimal's exponent, after its e or E, is past _MAX_ORDER_DIGITS
+    in magnitude: read from the text, before ``Fraction`` builds 10**exponent
+    (seconds at 1e9999999, about ten times longer for each further digit)."""
+    exponent = text.lower().partition("e")[2].strip()
+    magnitude = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    return len(magnitude) > len(str(_MAX_ORDER_DIGITS)) or (
+        magnitude.isdecimal() and int(magnitude) > _MAX_ORDER_DIGITS)
 
 
 def _as_rational(value, what: str) -> Fraction:
-    """Convert an exact input to Fraction, refusing bare floats."""
+    """Convert an exact input to Fraction, refusing bare floats and a string
+    whose decimal exponent is past _MAX_ORDER_DIGITS."""
     if isinstance(value, bool) or isinstance(value, float):
         raise TypeError(
             f"{what} must be exact: pass an int, Fraction, or string like "
             f"'3/2' or '2.1', not {value!r}"
         )
+    if isinstance(value, str) and _long_exponent(value):
+        raise ValueError(f"invalid {what}: {value!r} has a decimal exponent past "
+                         f"{_MAX_ORDER_DIGITS} in magnitude")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:

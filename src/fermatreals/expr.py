@@ -14,10 +14,11 @@ Grammar (EBNF, also in the README):
 NUMBER is a decimal with optional fraction and exponent.  dt orders are
 exact rationals: ``dt[1.5]`` is sugar for ``dt[3/2]`` (decimals beyond 12
 significant digits are rejected to keep exponent rationals small).  Before
-any int is built, a dt order's digits are bounded by ``_MAX_ORDER_DIGITS``,
-and so is its decimal exponent's magnitude: every literal's order prints
-within Python's 4,300-digit int to str limit (a product's may not: that
-is a FermatError).
+any int is built, a dt order's digits are bounded by core's
+``_MAX_ORDER_DIGITS``, and so is its decimal exponent's magnitude, by
+``core._long_exponent``, which ``core._as_rational`` applies to every exact
+string: every literal's order prints within Python's 4,300-digit int to
+str limit (a product's may not: that is a FermatError).
 
 The parser reads tokens by index from parallel lists of texts and offsets,
 and tells a number, a name and the end of input ``""`` apart by a token's
@@ -34,11 +35,10 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from . import core
-from .core import FermatReal, as_fermat, dt, from_real
+from .core import FermatReal, as_fermat, dt, from_real, _MAX_ORDER_DIGITS, _long_exponent
 from .errors import NonPositiveOrderError, ParseError, UnboundVariableError
 
 _MAX_DEPTH = 100
-_MAX_ORDER_DIGITS = 1000
 
 _ARITHMETIC = {"+": lambda x, y: core.add(x, y), "-": lambda x, y: core.sub(x, y),
                "*": lambda x, y: core.mul(x, y), "/": lambda x, y: core.mul(x, core.invert(y))}
@@ -242,14 +242,13 @@ class _Parser:
             self.i += 1
         num = self.i
         text = texts[num]
-        digits, _, exponent = text.replace(".", "").replace("E", "e").partition("e")
+        digits = text.replace(".", "").replace("E", "e").partition("e")[0]
         if not digits.isdecimal():  # no name, op or "" leaves only digits
             self.fail(num, "a dt order")
         self.i += 1
         if len(digits) > _MAX_ORDER_DIGITS:
             self.fail(num, f"a dt order of at most {_MAX_ORDER_DIGITS} digits")
-        magnitude = exponent.lstrip("+-").lstrip("0")
-        if len(magnitude) > 4 or int(magnitude or "0") > _MAX_ORDER_DIGITS:
+        if _long_exponent(text):
             self.fail(num, f"a dt order with an exponent of at most {_MAX_ORDER_DIGITS}")
         if texts[self.i] == "/":
             if not text.isdecimal():  # a ".", "e" or "E" in it

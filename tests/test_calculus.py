@@ -426,6 +426,31 @@ def test_deep_power_and_atan_series_are_fast():
                        "recip: Taylor coefficient 1023 at 0.5 has no finite binary64 value")
 
 
+def test_the_first_overflow_stops_the_fill():
+    # each coefficient is rounded as its fill puts it, so the first one past
+    # binary64 ends the loop at once: recip's integers grow like i!, and a
+    # fill that ran on to n = 10**6 before rounding would not end
+    for name, index in (("recip", 1023), ("ln", 1035)):
+        start = time.perf_counter()
+        with pytest.raises(NonFiniteError) as err:
+            CATALOG[name].tower(0.5, 10**6)
+        assert time.perf_counter() - start < 1.0, name
+        assert str(err.value) == (f"{name}: Taylor coefficient {index} at 0.5 "
+                                  "has no finite binary64 value")
+
+
+def test_a_tower_with_no_bound_takes_no_scale():
+    # exp, sin and cos stop growing i! past 2**2200, which is sound only
+    # unscaled: a capped i! times 2**(e*i) is not a_i * 2**(e*i); tan and
+    # a pow_const tower are the two other kinds, without and with a bound
+    for name in ("exp", "sin", "cos", "tan"):
+        assert CATALOG[name].tower.bound is None
+        with pytest.raises(TypeError, match=f"{name}: tower takes no scale"):
+            CATALOG[name].tower(1.0, 3, 5)
+        assert CATALOG[name].tower(1.0, 3, 0) == CATALOG[name].tower(1.0, 3)
+    assert pow_const(2.5).tower(1.0, 3, 5) == [1.0, 2.5 * 32, 1.875 * 1024, 0.3125 * 2**15]
+
+
 # -- ext_apply ---------------------------------------------------------------
 
 def test_ext_apply_examples():

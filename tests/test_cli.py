@@ -144,6 +144,20 @@ def test_iota(capsys):
     assert (code, out, err) == (2, "", "fermat: bad --k value '-1'\n")
 
 
+def test_a_huge_decimal_exponent_ends_at_once(capsys):
+    # the exponent is bounded before any int is built: --k is a flag the CLI
+    # checks (exit 2), --orders a value only the library judges (exit 3)
+    for exponent in ("2000", "9999999", "99999999"):
+        start = time.perf_counter()
+        assert run(capsys, "iota", "1+dt[2]", "--k", f"1e{exponent}") == (
+            2, "", f"fermat: bad --k value '1e{exponent}'\n")
+        assert run(capsys, "prodzero", "--orders", f"1e{exponent},2", "--exps", "1,1") == (
+            3, "", f"fermat: invalid factor order: '1e{exponent}' has a decimal exponent "
+                   "past 1000 in magnitude\n")
+        assert time.perf_counter() - start < 1.0, exponent
+    assert run(capsys, "iota", "1+dt[2]", "--k", "1e1000") == (0, "1\n", "")
+
+
 def test_prodzero_bad_order_is_an_evaluation_error(capsys):
     code, _, err = run(capsys, "prodzero", "--orders", "0.5", "--exps", "1")
     assert code == 3 and "orders must be >= 1" in err

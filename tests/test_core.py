@@ -4,6 +4,7 @@ import decimal
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -33,6 +34,7 @@ from fermatreals import (
     order,
     pow_const,
     pow_nat,
+    product_power_zero,
     standard_part,
     sub,
     taylor_multi,
@@ -183,6 +185,20 @@ def test_dt_rejects_nonpositive_and_float_orders():
         dt(-2)
     with pytest.raises(TypeError):
         dt(1.5)
+
+
+def test_a_string_with_a_huge_decimal_exponent_is_refused_at_once():
+    # Fraction("1e9999999") builds 10**9999999 (seconds; longer without end
+    # for more digits), so the exponent is read from the text first, in
+    # every function that takes an exact order or level
+    for text in ("1e9999999", "1e99999999", "2E-1001", " 1e+1_001 ", "1e00000000001001"):
+        start = time.perf_counter()
+        for call in (dt, lambda t: iota(ONE, t), lambda t: product_power_zero([t, 2], [1, 1])):
+            with pytest.raises(ValueError, match="has a decimal exponent past 1000 in magnitude"):
+                call(text)
+        assert time.perf_counter() - start < 1.0, text
+    assert dt("1e1000") == dt(10**1000) and dt("1e-1000") is ZERO
+    assert dt(" 1e+1_000 ") == dt(10**1000) and dt("1e0001000") == dt(10**1000)
 
 
 def test_dt_takes_a_fraction_as_is_and_every_other_order_as_before():
